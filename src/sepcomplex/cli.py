@@ -58,7 +58,10 @@ def _obtain_complex(args: argparse.Namespace) -> tuple[Complex, int | None, str 
 
 
 def _parse_face(cx: Complex, text: str) -> list[int]:
-    """Resolve a face given as subset strings, e.g. '15,234'."""
+    """Resolve a face given as subset strings, e.g. '15,234'.
+
+    Labels for n >= 10 contain commas, so there ';' separates the vertices.
+    """
     labels = {label: i for i, label in enumerate(cx.labels)}
     if any("," in label for label in cx.labels):
         tokens = [t.strip() for t in text.split(";")]
@@ -183,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=f"{verb} of a face, as a complex")
         add_common(p)
         p.add_argument("--face", required=True,
-                       help="comma-separated subset strings, e.g. 15,234")
+                       help="comma-separated subset strings, e.g. 15,234; "
+                            "for n >= 10, whose labels contain commas, "
+                            "separate them with ';'")
         p.set_defaults(func=_cmd_local, verb=verb)
 
     p = sub.add_parser("boundary", help="codimension-1 boundary subcomplex")

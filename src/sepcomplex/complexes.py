@@ -5,11 +5,14 @@ vertex table of its parent, so subcomplex operations (star, link, deletion,
 induced, intersection) preserve vertex indices. Complexes built from a graph
 carry the adjacency masks along; induced-type operations keep that structure,
 which speeds up face enumeration and membership tests.
+
+Every face enumeration, homology's boundary matrices included, reads the one
+walker Complex.face_levels: a clique walk with a graph, facet subsets without.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 ISOMORPHISM_VERTEX_CAP = 64
@@ -143,91 +146,58 @@ class Complex:
     def has_face(self, face: Iterable[int]) -> bool:
         return self.has_face_mask(_mask_of(face, len(self.labels)))
 
+    def face_levels(self) -> Iterator[list[int]]:
+        """Faces of each dimension from 0 up, one list of masks per dimension.
+
+        Each list is in lexicographic order of the sorted vertex tuples. A
+        clique complex is walked breadth-first, each face carrying the common
+        neighbours above its top vertex; a facet-only complex takes the
+        subsets of its facets. The lists are the walker's own: read them,
+        do not modify them.
+        """
+        g = self._graph
+        if g is None:
+            # 1 << v grows with v, so bit tuples sort like vertex tuples
+            bits = [tuple(1 << v for v in _mask_to_tuple(f)) for f in self.facets]
+            for k in range(1, self.dimension() + 2):
+                found: set[tuple[int, ...]] = set()
+                for b in bits:
+                    found.update(combinations(b, k))
+                yield [sum(c) for c in sorted(found)]
+            return
+        faces, cands = [0], [self.vertex_mask]
+        while True:
+            next_faces: list[int] = []
+            next_cands: list[int] = []
+            for m, cand in zip(faces, cands):
+                rest = cand
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    next_faces.append(m | low)
+                    next_cands.append(rest & g[low.bit_length() - 1])
+            if not next_faces:
+                return
+            yield next_faces
+            faces, cands = next_faces, next_cands
+
     def iter_face_masks(self) -> Iterator[int]:
         """All nonempty faces as masks, by dimension then lexicographic order."""
-        for d in range(self.dimension() + 1):
-            for f in self.faces_of_dim(d):
-                m = 0
-                for v in f:
-                    m |= 1 << v
-                yield m
+        for level in self.face_levels():
+            yield from level
 
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
         """All d-dimensional faces as sorted index tuples, lexicographic order."""
         if d < 0:
             raise ValueError("dimension must be nonnegative")
-        g = self._graph
-        if g is not None:
-            return self._faces_of_dim_clique(d)
-        found: set[tuple[int, ...]] = set()
-        k = d + 1
-        for f in self.facets:
-            t = _mask_to_tuple(f)
-            if len(t) >= k:
-                found.update(combinations(t, k))
-        return sorted(found)
-
-    def _faces_of_dim_clique(self, d: int) -> list[tuple[int, ...]]:
-        g = self._graph
-        vm = self.vertex_mask
-        out: list[tuple[int, ...]] = []
-
-        def extend(prefix: tuple[int, ...], cand: int, depth: int) -> None:
-            if depth == 0:
-                out.append(prefix)
-                return
-            rest = cand
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                extend(prefix + (v,), cand & g[v] & ~((low << 1) - 1), depth - 1)
-
-        rest = vm
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            extend((v,), g[v] & vm & ~((low << 1) - 1), d)
-        return out
+        level = next(islice(self.face_levels(), d, None), [])
+        return [_mask_to_tuple(m) for m in level]
 
     def face_counts(self) -> tuple[int, ...]:
         """Number of faces per dimension (the f-vector)."""
-        if self._fvec is not None:
-            return self._fvec
-        g = self._graph
-        if g is not None:
-            counts: list[int] = []
-            vm = self.vertex_mask
-            # counting needs only candidate masks, not the face prefixes
-            cands = []
-            rest = vm
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                cands.append(g[v] & vm & ~((low << 1) - 1))
-            while cands:
-                counts.append(len(cands))
-                nxt = []
-                for cand in cands:
-                    rest = cand
-                    while rest:
-                        low = rest & -rest
-                        v = low.bit_length() - 1
-                        rest ^= low
-                        nxt.append(cand & g[v] & ~((low << 1) - 1))
-                cands = nxt
-        else:
-            found: list[set[tuple[int, ...]]] = [set() for _ in range(self.dimension() + 1)]
-            for f in self.facets:
-                t = _mask_to_tuple(f)
-                for k in range(1, len(t) + 1):
-                    found[k - 1].update(combinations(t, k))
-            counts = [len(s) for s in found]
-        result = tuple(counts)
-        self._fvec = result
-        return result
+        if self._fvec is None:
+            self._fvec = tuple(len(level) for level in self.face_levels())
+        return self._fvec
 
     def f_vector(self) -> tuple[int, ...]:
         return self.face_counts()
@@ -390,7 +360,17 @@ class Complex:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Complex":
-        return cls(list(data["vertices"]), [tuple(f) for f in data["facets"]])
+        """Inverse of to_dict; raises ValueError on a malformed mapping."""
+        if not isinstance(data, Mapping):
+            raise ValueError("complex JSON must be an object")
+        labels, facets = data.get("vertices"), data.get("facets")
+        if not isinstance(labels, list) or not isinstance(facets, list):
+            raise ValueError("complex JSON needs lists under 'vertices' and 'facets'")
+        if not all(isinstance(v, str) for v in labels) or len(set(labels)) < len(labels):
+            raise ValueError("vertex labels must be distinct strings")
+        if not all(isinstance(f, list) for f in facets):
+            raise ValueError("each facet must be a list of vertex indices")
+        return cls(labels, facets)
 
 
 @dataclass(frozen=True)

@@ -111,23 +111,25 @@ def boundary_matrices(x: Complex) -> list[SparseIntMatrix]:
     """Boundary operators of the augmented chain complex, dimensions 0..dim.
 
     The degree-0 operator is the augmentation row (all ones), which makes the
-    resulting homology reduced. Entry signs alternate with the position of the
-    omitted vertex.
+    resulting homology reduced. Entry signs alternate over the vertices of a
+    face in ascending order, starting with + for the omitted lowest vertex.
     """
-    dim = x.dimension()
-    if x.is_empty:
+    levels = x.face_levels()
+    below = next(levels, [])
+    if not below:
         return []
-    out = []
-    below = x.faces_of_dim(0)
-    out.append(SparseIntMatrix(1, len(below), {(0, j): 1 for j in range(len(below))}))
-    for d in range(1, dim + 1):
-        faces = x.faces_of_dim(d)
-        index = {f: i for i, f in enumerate(below)}
+    out = [SparseIntMatrix(1, len(below), {(0, j): 1 for j in range(len(below))})]
+    for faces in levels:
+        index = {m: i for i, m in enumerate(below)}
         entries: dict[tuple[int, int], int] = {}
         for j, f in enumerate(faces):
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                entries[(index[sub], j)] = -1 if i % 2 else 1
+            sign = 1
+            rest = f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                entries[(index[f ^ low], j)] = sign
+                sign = -sign
         out.append(SparseIntMatrix(len(below), len(faces), entries))
         below = faces
     return out

@@ -225,10 +225,6 @@ def deletion_covering(sc: SeparationComplex) -> Covering:
     return Covering(sc.complex, tuple(members), tuple(labels), action)
 
 
-def covering_pair_count(n: int) -> int:
-    return n - 2
-
-
 def free_complementary_pairs(index_subset: Iterable[int], n: int) -> int:
     """Number of pairs (k, complement) with neither deletion indexed by the subset.
 

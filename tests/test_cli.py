@@ -100,6 +100,25 @@ def test_missing_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([], "must be an object"),
+    ({"vertices": ["1", "2"]}, "needs lists"),
+    ({"vertices": ["1", "2"], "facets": {"0": [0]}}, "needs lists"),
+    ({"facets": [[0]]}, "needs lists"),
+    ({"vertices": "12", "facets": [[0]]}, "needs lists"),
+    ({"vertices": ["1", 2], "facets": [[0]]}, "distinct strings"),
+    ({"vertices": ["1", "1"], "facets": [[0, 1]]}, "distinct strings"),
+    ({"vertices": ["1", "2"], "facets": [0, 1]}, "list of vertex indices"),
+])
+def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "fvector", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert message in err
+
+
 def test_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "build", "--n", "9", "--relation", "ss")
     assert code == 3

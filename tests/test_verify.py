@@ -9,6 +9,7 @@ from sepcomplex.verify import (
     antipodal_checks,
     any_failed,
     boundary_findings,
+    chain_condition_row,
     chain_condition_violations,
     contractibility_certificate,
     contractibility_shadow,
@@ -66,6 +67,18 @@ def test_retraction_sweeps(ss4):
 
 def test_retraction_sweeps_n5(ss5):
     assert all_pass(retraction_checks(ss5))
+
+
+def test_chain_condition_witness_states_sampling(ss5, ss6):
+    exhaustive = chain_condition_row(ss5)
+    assert exhaustive.witness == "violations"
+    sampled = chain_condition_row(ss6)
+    assert sampled.status == "PASS"
+    total = sum(ss6.complex.face_counts())
+    assert sampled.witness.startswith("violations; outer faces sampled ")
+    assert sampled.witness.endswith(f" of {total}")
+    assert run_named_check("chain-condition", 5) == [exhaustive]
+    assert [r for r in retraction_checks(ss5) if r.check.startswith("chain")] == [exhaustive]
 
 
 def test_retraction_sweeps_reject_ws(ws4):
