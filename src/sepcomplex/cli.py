@@ -14,6 +14,7 @@ from typing import Sequence
 from .complexes import Complex
 from .homology import format_homology, homology_summary, reduced_homology
 from .separation import CapExceeded, build, enumeration_cap
+from .subsets import check_ground_size, check_relation
 from .verify import (
     CHECK_NAMES,
     any_failed,
@@ -44,7 +45,13 @@ def _write(text: str, path: str | None) -> None:
 def _load_complex(path: str) -> tuple[Complex, int | None, str | None]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return Complex.from_dict(data), data.get("n"), data.get("relation")
+    cx = Complex.from_dict(data)
+    n, relation = data.get("n"), data.get("relation")
+    if n is not None:
+        check_ground_size(n)
+    if relation is not None:
+        check_relation(relation)
+    return cx, n, relation
 
 
 def _obtain_complex(args: argparse.Namespace) -> tuple[Complex, int | None, str | None]:

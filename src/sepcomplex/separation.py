@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import subsets
-from .complexes import Complex, Covering, clique_complex
+from .complexes import Complex, Covering, _mask_of, _mask_to_tuple, clique_complex
 from .subsets import GROUP, GroupElement, act, separation_graph, subset_str
 
 DEFAULT_ENUMERATION_CAP = 7
@@ -28,6 +28,13 @@ def enumeration_cap(override: int | None = None) -> int:
         return int(override)
     env = os.environ.get(CAP_ENV_VAR)
     return int(env) if env else DEFAULT_ENUMERATION_CAP
+
+
+def check_enumeration_cap(n: int, cap: int | None = None) -> None:
+    """Reject a ground size above the enumeration cap."""
+    limit = enumeration_cap(cap)
+    if n > limit:
+        raise CapExceeded(f"n = {n} exceeds the enumeration cap {limit}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +98,7 @@ def build(n: int, relation: str, cap: int | None = None) -> SeparationComplex:
     """
     subsets.check_ground_size(n)
     subsets.check_relation(relation)
-    limit = enumeration_cap(cap)
-    if n > limit:
-        raise CapExceeded(f"n = {n} exceeds the enumeration cap {limit}")
+    check_enumeration_cap(n, cap)
     if n <= 2:
         return SeparationComplex(n, relation, Complex.empty(), ())
     graph = separation_graph(n, relation)
@@ -155,15 +160,28 @@ def antipodal_subcomplex(n: int) -> AntipodalSubcomplex:
 # the vertexwise retraction data
 # ---------------------------------------------------------------------------
 
+def _require_retraction_domain(sc: SeparationComplex) -> None:
+    if sc.relation != "ss":
+        raise ValueError("the retraction is defined on the strong-separation complex")
+    if sc.n < 4:
+        raise ValueError("the retraction is defined for n >= 4")
+
+
 def retraction_image_mask(sc: SeparationComplex, face_mask: int) -> int:
     """Vertex-index mask of the retraction image; may be empty (callers decide)."""
     out = 0
     for i, j in sc.singleton_pair_indices():
-        if sc.extends_to_face(face_mask, i) and not sc.extends_to_face(face_mask, j):
-            out |= 1 << i
-        elif sc.extends_to_face(face_mask, j) and not sc.extends_to_face(face_mask, i):
-            out |= 1 << j
+        extends_i = sc.extends_to_face(face_mask, i)
+        if extends_i != sc.extends_to_face(face_mask, j):
+            out |= 1 << (i if extends_i else j)
     return out
+
+
+def retraction_images(sc: SeparationComplex) -> dict[int, int]:
+    """Retraction image mask of every nonempty face, keyed by face mask in
+    the order of Complex.iter_face_masks; an image may be empty."""
+    _require_retraction_domain(sc)
+    return {f: retraction_image_mask(sc, f) for f in sc.complex.iter_face_masks()}
 
 
 def retraction_image(sc: SeparationComplex, face: Iterable[int | str]) -> tuple[int, ...]:
@@ -173,28 +191,17 @@ def retraction_image(sc: SeparationComplex, face: Iterable[int | str]) -> tuple[
     a nonempty face of the antipodal subcomplex containing no complementary
     pair.
     """
-    if sc.relation != "ss":
-        raise ValueError("the retraction is defined on the strong-separation complex")
-    if sc.n < 4:
-        raise ValueError("the retraction is defined for n >= 4")
+    _require_retraction_domain(sc)
     idx = sc.face_indices(face)
     if not idx:
         raise ValueError("the retraction is defined on nonempty faces")
-    m = 0
-    for v in idx:
-        m |= 1 << v
+    m = _mask_of(idx, len(sc.masks))
     if not sc.complex.has_face_mask(m):
         raise ValueError("not a face of the complex")
     img = retraction_image_mask(sc, m)
     if img == 0:
         raise RuntimeError("retraction image unexpectedly empty")
-    out = []
-    rest = img
-    while rest:
-        low = rest & -rest
-        out.append(low.bit_length() - 1)
-        rest ^= low
-    return tuple(out)
+    return _mask_to_tuple(img)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Each check compares a computed quantity against a frozen expected value and
 yields a CheckResult row. Contractibility-style claims are never decided;
 they are certified in decreasing strength: a cone point, a full greedy
-collapse, or (inconclusively) trivial reduced homology alone.
+collapse, or (inconclusively) trivial reduced homology alone. The
+retraction and equivariance checks read one table of retraction images
+(separation.retraction_images) and sweep every face; none samples. The
+chain condition counts the faces that have a violating subface.
 """
 from __future__ import annotations
 
@@ -19,9 +22,10 @@ from .separation import (
     antipodal_subcomplex,
     build,
     central_edge_star,
+    check_enumeration_cap,
     deletion_covering,
     free_complementary_pairs,
-    retraction_image_mask,
+    retraction_images,
 )
 from .subsets import GROUP, ground_mask
 
@@ -185,90 +189,71 @@ def antipodal_checks(n: int) -> list[CheckResult]:
 # retraction checks
 # ---------------------------------------------------------------------------
 
-def _require_retraction_domain(sc: SeparationComplex) -> None:
-    if sc.relation != "ss":
-        raise ValueError("retraction checks run on the strong-separation complex")
-    if sc.n < 4:
-        raise ValueError("retraction checks need n >= 4")
-
-
 def image_nonempty_violations(sc: SeparationComplex) -> int:
     """Faces whose retraction image is empty, i.e. where every complementary
     pair extends both ways or neither way. Zero is the expected answer."""
-    _require_retraction_domain(sc)
-    return sum(1 for f in sc.complex.iter_face_masks()
-               if retraction_image_mask(sc, f) == 0)
+    return sum(1 for img in retraction_images(sc).values() if img == 0)
 
 
-def _chain_condition_sweep(sc: SeparationComplex) -> tuple[int, int, int]:
-    """Comparable face pairs whose two images union to a complementary pair.
-
-    A violation on any chain of faces is already a violation on one comparable
-    pair, so sweeping pairs covers all chains. Exhaustive through n = 5; above
-    that the outer face is sampled on a fixed stride (the sweep is quadratic).
-    Returns the violations, the outer faces swept and the faces in all.
+def chain_violations(images: dict[int, int], pairs: Sequence[tuple[int, int]]) -> int:
+    """Faces with a nonempty proper subface whose image, joined with the
+    face's own, holds one of the complementary `pairs`; a violation on any
+    chain already shows on such a pair. Exhaustive: U(f), the union of the
+    images of the nonempty proper subfaces of f, is the union over v in f of
+    img(f - v) | U(f - v), kept for one dimension. Images hold no pair, so f
+    violates iff the partners of img(f) meet U(f). `images` lists the faces
+    by dimension, as retraction_images does.
     """
-    _require_retraction_domain(sc)
-    pairs = sc.singleton_pair_indices()
-    images = {f: retraction_image_mask(sc, f) for f in sc.complex.iter_face_masks()}
-    outer = list(images)
-    if sc.n > 5:
-        stride = max(1, len(outer) // 2000)
-        outer = outer[::stride]
+    partners: dict[int, int] = {}
+    below, here, size = {}, {0: 0}, 0  # img | U per face, by dimension
     violations = 0
-    for f in outer:
-        img_f = images[f]
-        sub = f
-        while True:
-            sub = (sub - 1) & f
-            if sub == 0:
-                break
-            union = img_f | images[sub]
-            if any(union >> i & 1 and union >> j & 1 for i, j in pairs):
-                violations += 1
-    return violations, len(outer), len(images)
+    for f, img in images.items():
+        if f.bit_count() != size:
+            below, here, size = here, {}, f.bit_count()
+        union = 0
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            union |= below[f ^ low]
+        partner = partners.get(img)
+        if partner is None:
+            partner = partners[img] = sum(
+                (img >> i & 1) << j | (img >> j & 1) << i for i, j in pairs)
+        if partner & union:
+            violations += 1
+        here[f] = img | union
+    return violations
 
 
 def chain_condition_violations(sc: SeparationComplex) -> int:
-    """Violations of the chain condition; see _chain_condition_sweep."""
-    return _chain_condition_sweep(sc)[0]
+    """Faces violating the chain condition; see chain_violations."""
+    return chain_violations(retraction_images(sc), sc.singleton_pair_indices())
+
+
+def _violations_row(check: str, sc: SeparationComplex, violations: int) -> CheckResult:
+    scope = f"ss({sc.n})"
+    return _row(f"{check} {scope}", scope, 0, violations, witness="violations")
 
 
 def chain_condition_row(sc: SeparationComplex) -> CheckResult:
-    """The chain-condition row; its witness says when the outer faces were sampled."""
-    scope = f"ss({sc.n})"
-    violations, swept, total = _chain_condition_sweep(sc)
-    witness = "violations"
-    if swept < total:
-        witness += f"; outer faces sampled {swept} of {total}"
-    return _row(f"chain-condition {scope}", scope, 0, violations, witness=witness)
-
-
-def identity_on_antipodal_violations(sc: SeparationComplex) -> int:
-    """Faces of the antipodal subcomplex not fixed by the retraction."""
-    kmask = 0
-    for i in sc.antipodal_vertex_indices():
-        kmask |= 1 << i
-    return sum(1 for f in sc.complex.iter_face_masks()
-               if f & ~kmask == 0 and retraction_image_mask(sc, f) != f)
-
-
-def carrier_violations(sc: SeparationComplex) -> int:
-    """Faces where face + image fails to be a face of the complex."""
-    return sum(1 for f in sc.complex.iter_face_masks()
-               if not sc.complex.has_face_mask(f | retraction_image_mask(sc, f)))
+    """The chain-condition row: faces with a violating subface, all faces swept."""
+    return _violations_row("chain-condition", sc, chain_condition_violations(sc))
 
 
 def retraction_checks(sc: SeparationComplex) -> list[CheckResult]:
-    scope = f"ss({sc.n})"
+    """The four retraction rows, each over every face, off one image table."""
+    images = retraction_images(sc)
+    kmask = sum(1 << i for i in sc.antipodal_vertex_indices())
+    empty = sum(1 for img in images.values() if img == 0)
+    not_fixed = sum(1 for f, img in images.items() if f & ~kmask == 0 and img != f)
+    outside = sum(1 for f, img in images.items() if not sc.complex.has_face_mask(f | img))
+    chain = chain_violations(images, sc.singleton_pair_indices())
     return [
-        _row(f"image-nonempty {scope}", scope, 0, image_nonempty_violations(sc),
-             witness="violations"),
-        chain_condition_row(sc),
-        _row(f"identity-on-cross-polytope {scope}", scope, 0,
-             identity_on_antipodal_violations(sc), witness="violations"),
-        _row(f"carrier-containment {scope}", scope, 0, carrier_violations(sc),
-             witness="violations"),
+        _violations_row("image-nonempty", sc, empty),
+        _violations_row("chain-condition", sc, chain),
+        _violations_row("identity-on-cross-polytope", sc, not_fixed),
+        _violations_row("carrier-containment", sc, outside),
     ]
 
 
@@ -310,28 +295,17 @@ def equivariance_checks(sc: SeparationComplex) -> list[CheckResult]:
             r |= 1 << perm[low.bit_length() - 1]
         return r
 
-    faces_preserved = True
-    antipodal_preserved = True
-    for g in GROUP:
-        perm = sc.vertex_permutation(g)
-        if {permute_mask(f, perm) for f in facet_set} != facet_set:
-            faces_preserved = False
-        if {perm[i] for i in antipodal} != antipodal:
-            antipodal_preserved = False
+    perms = [sc.vertex_permutation(g) for g in GROUP]
+    faces_preserved = all({permute_mask(f, p) for f in facet_set} == facet_set for p in perms)
+    antipodal_preserved = all({p[i] for i in antipodal} == antipodal for p in perms)
     out.append(_row(f"symmetries-preserve-facets {scope}", scope, True, faces_preserved))
     out.append(_row(f"symmetries-preserve-cross-polytope {scope}", scope, True,
                     antipodal_preserved))
     if sc.relation == "ss":
-        bad = 0
-        faces = list(sc.complex.iter_face_masks())
-        images = {f: retraction_image_mask(sc, f) for f in faces}
-        for g in GROUP:
-            perm = sc.vertex_permutation(g)
-            for f in faces:
-                if images[permute_mask(f, perm)] != permute_mask(images[f], perm):
-                    bad += 1
-        out.append(_row(f"retraction-equivariance {scope}", scope, 0, bad,
-                        witness="violations"))
+        images = retraction_images(sc)
+        bad = sum(1 for p in perms for f, img in images.items()
+                  if images[permute_mask(f, p)] != permute_mask(img, p))
+        out.append(_violations_row("retraction-equivariance", sc, bad))
     return out
 
 
@@ -646,20 +620,32 @@ def full_report(nmax: int = 5, allow_heavy: bool = False,
 # named checks for the command line
 # ---------------------------------------------------------------------------
 
+# the relations a named check runs on; --relation may narrow them to one
+_CHECK_RELATIONS = {
+    "lemma-4-4": ("ss",), "chain-condition": ("ss",), "retraction": ("ss",),
+    "equivariance": ("ss", "ws"), "purity": ("ss", "ws"),
+    "covering": ("ws",), "cone-points": ("ws",),
+}
+
+
 def run_named_check(name: str, n: int, relation: str | None = None,
                     cap: int | None = None) -> list[CheckResult]:
+    if name not in CHECK_NAMES:
+        raise ValueError(f"unknown check {name!r}")
+    takes = _CHECK_RELATIONS.get(name, ())
+    if relation is not None and relation not in takes:
+        raise ValueError(f"check {name} does not take --relation {relation}")
+    relations = (relation,) if relation else takes
     if name == "figures":
         return figure_checks()
     if name == "lemma-4-4":
         sc = build(n, "ss", cap)
-        return [_row(f"image-nonempty ss({n})", f"ss({n})", 0,
-                     image_nonempty_violations(sc), witness="violations")]
+        return [_violations_row("image-nonempty", sc, image_nonempty_violations(sc))]
     if name == "chain-condition":
         return [chain_condition_row(build(n, "ss", cap))]
     if name == "retraction":
         return retraction_checks(build(n, "ss", cap))
     if name == "equivariance":
-        relations = (relation,) if relation else ("ss", "ws")
         out = []
         for rel in relations:
             out.extend(equivariance_checks(build(n, rel, cap)))
@@ -669,15 +655,13 @@ def run_named_check(name: str, n: int, relation: str | None = None,
     if name == "cone-points":
         return star_cover_checks(build(n, "ws", cap))
     if name == "purity":
-        relations = (relation,) if relation else ("ss", "ws")
         return [purity_check(build(n, rel, cap)) for rel in relations]
     if name == "cross-polytope":
+        check_enumeration_cap(n, cap)
         return antipodal_checks(n)
-    if name == "boundary-findings":
-        if n != 5:
-            raise ValueError("boundary findings are defined at n = 5")
-        return boundary_findings()
-    raise ValueError(f"unknown check {name!r}")
+    if n != 5:
+        raise ValueError("boundary findings are defined at n = 5")
+    return boundary_findings()
 
 
 CHECK_NAMES = (

@@ -109,6 +109,9 @@ def test_missing_input(capsys):
     ({"vertices": ["1", 2], "facets": [[0]]}, "distinct strings"),
     ({"vertices": ["1", "1"], "facets": [[0, 1]]}, "distinct strings"),
     ({"vertices": ["1", "2"], "facets": [0, 1]}, "list of vertex indices"),
+    ({"n": "x", "vertices": ["1"], "facets": [[0]]}, "ground size must be"),
+    ({"n": 0, "vertices": ["1"], "facets": [[0]]}, "ground size must be"),
+    ({"relation": "zz", "vertices": ["1"], "facets": [[0]]}, "relation must be"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
@@ -123,6 +126,24 @@ def test_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "build", "--n", "9", "--relation", "ss")
     assert code == 3
     assert "cap" in err
+
+
+def test_verify_cross_polytope_respects_the_cap(capsys):
+    code, _, err = run_cli(capsys, "verify", "cross-polytope", "--n", "8")
+    assert code == 3
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("check, relation", [
+    ("lemma-4-4", "ws"), ("chain-condition", "ws"), ("retraction", "ws"),
+    ("covering", "ss"), ("cone-points", "ss"), ("cross-polytope", "ss"),
+])
+def test_verify_rejects_a_relation_the_check_cannot_take(capsys, check, relation):
+    code, stdout, err = run_cli(capsys, "verify", check, "--n", "4",
+                                "--relation", relation)
+    assert code == 2
+    assert stdout == ""
+    assert f"does not take --relation {relation}" in err
 
 
 def test_usage_error_exits_2(capsys):

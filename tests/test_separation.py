@@ -13,6 +13,7 @@ from sepcomplex.separation import (
     free_complementary_pairs,
     retraction_image,
     retraction_image_mask,
+    retraction_images,
 )
 from sepcomplex.subsets import (
     GROUP,
@@ -183,6 +184,17 @@ def test_retraction_rejects_bad_input(ss4, ws4):
         retraction_image(ss4, ["2", "14"])  # not a face
     with pytest.raises(ValueError):
         retraction_image(ws4, ["2"])  # wrong relation
+
+
+def test_retraction_images_match_per_face(ss4, ss5, ws4):
+    for sc in (ss4, ss5):
+        images = retraction_images(sc)
+        assert list(images) == list(sc.complex.iter_face_masks())
+        assert all(img == retraction_image_mask(sc, f) for f, img in images.items())
+    with pytest.raises(ValueError, match="strong-separation"):
+        retraction_images(ws4)
+    with pytest.raises(ValueError, match="n >= 4"):
+        retraction_images(build(3, "ss"))
 
 
 # --- deletion covering ---------------------------------------------------------

@@ -2,7 +2,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sepcomplex.separation import retraction_images
 from sepcomplex.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -11,6 +14,7 @@ from sepcomplex.verify import (
     boundary_findings,
     chain_condition_row,
     chain_condition_violations,
+    chain_violations,
     contractibility_certificate,
     contractibility_shadow,
     covering_checks,
@@ -72,13 +76,55 @@ def test_retraction_sweeps_n5(ss5):
 def test_chain_condition_witness_states_sampling(ss5, ss6):
     exhaustive = chain_condition_row(ss5)
     assert exhaustive.witness == "violations"
-    sampled = chain_condition_row(ss6)
-    assert sampled.status == "PASS"
-    total = sum(ss6.complex.face_counts())
-    assert sampled.witness.startswith("violations; outer faces sampled ")
-    assert sampled.witness.endswith(f" of {total}")
+    six = chain_condition_row(ss6)  # every face swept, as at n = 5
+    assert (six.status, six.computed, six.witness) == ("PASS", "0", "violations")
     assert run_named_check("chain-condition", 5) == [exhaustive]
     assert [r for r in retraction_checks(ss5) if r.check.startswith("chain")] == [exhaustive]
+
+
+def brute_chain_violations(images, pairs):
+    """Faces with some nonempty proper subface whose image and the face's
+    image together hold a complementary pair: every comparable pair swept."""
+    bad = 0
+    for f, img in images.items():
+        sub = f
+        while True:
+            sub = (sub - 1) & f
+            if sub == 0:
+                break
+            union = img | images[sub]
+            if any(union >> i & 1 and union >> j & 1 for i, j in pairs):
+                bad += 1
+                break
+    return bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chain_violations_match_brute_force(ss4, ss5, data):
+    sc = data.draw(st.sampled_from([ss4, ss5]))
+    images = retraction_images(sc)
+    if data.draw(st.booleans()):
+        images = dict.fromkeys(images, 0)
+    faces = list(images)
+    injected = st.tuples(st.sampled_from(faces),
+                         st.sampled_from(sc.antipodal_vertex_indices()))
+    for f, v in data.draw(st.lists(injected, min_size=1, max_size=6)):
+        images[f] = 1 << v
+    pairs = sc.singleton_pair_indices()
+    assert chain_violations(images, pairs) == brute_chain_violations(images, pairs)
+
+
+def test_chain_violations_see_subfaces_two_dimensions_down(ss4, ss5):
+    for sc in (ss4, ss5):
+        images = dict.fromkeys(retraction_images(sc), 0)
+        face = next(f for f in images if f.bit_count() == 3)
+        vertex = face & -face
+        pairs = sc.singleton_pair_indices()
+        i, j = pairs[0]
+        images[face], images[vertex] = 1 << i, 1 << j
+        assert chain_violations(images, pairs) == 1
+        assert brute_chain_violations(images, pairs) == 1
 
 
 def test_retraction_sweeps_reject_ws(ws4):
@@ -93,6 +139,8 @@ def test_retraction_sweeps_guard_small_ground_sets():
 
     with pytest.raises(ValueError):
         image_nonempty_violations(build(3, "ss"))
+    with pytest.raises(ValueError):
+        equivariance_checks(build(3, "ss"))
 
 
 def test_equivariance(ss4, ws4):
