@@ -46,9 +46,14 @@ class SeparationComplex:
     complex: Complex
     masks: tuple[int, ...]  # subset mask per vertex, canonical order
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _pairs: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._index.update({m: i for i, m in enumerate(self.masks)})
+        full = subsets.ground_mask(self.n)
+        object.__setattr__(self, "_pairs", tuple(
+            (self._index[1 << (k - 1)], self._index[full ^ (1 << (k - 1))])
+            for k in range(2, self.n)))
 
     def vertex_index(self, subset: int | str) -> int:
         mask = subsets.parse_subset(subset, self.n) if isinstance(subset, str) else subset
@@ -71,12 +76,7 @@ class SeparationComplex:
 
     def singleton_pair_indices(self) -> tuple[tuple[int, int], ...]:
         """Vertex index pairs (k, complement of k) for k = 2..n-1."""
-        full = subsets.ground_mask(self.n)
-        out = []
-        for k in range(2, self.n):
-            m = 1 << (k - 1)
-            out.append((self._index[m], self._index[full ^ m]))
-        return tuple(out)
+        return self._pairs
 
     def antipodal_vertex_indices(self) -> tuple[int, ...]:
         return tuple(sorted(i for pair in self.singleton_pair_indices() for i in pair))

@@ -19,7 +19,7 @@ class GroundSizeError(ValueError):
 
 
 def check_ground_size(n: int) -> int:
-    if not isinstance(n, int) or not 1 <= n <= MAX_GROUND_SIZE:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_GROUND_SIZE:
         raise GroundSizeError(f"ground size must be an integer in 1..{MAX_GROUND_SIZE}, got {n!r}")
     return n
 

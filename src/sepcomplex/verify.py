@@ -7,9 +7,13 @@ collapse, or (inconclusively) trivial reduced homology alone. The
 retraction and equivariance checks read one table of retraction images
 (separation.retraction_images) and sweep every face; none samples. The
 chain condition counts the faces that have a violating subface.
+
+One table, CHECKS, lists the named checks for both `sepcx verify`
+(run_named_check) and `sepcx reproduce-paper` (full_report).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from math import comb
@@ -27,7 +31,7 @@ from .separation import (
     free_complementary_pairs,
     retraction_images,
 )
-from .subsets import GROUP, ground_mask
+from .subsets import GROUP, MAX_GROUND_SIZE, ground_mask
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -101,6 +105,10 @@ def _homology_str(groups: Sequence[HomologyGroup]) -> str:
     return "; ".join(f"H~{d} = {g}" for d, g in enumerate(groups))
 
 
+def _expected_groups(length: int, nontrivial: dict[int, HomologyGroup]) -> list[HomologyGroup]:
+    return [nontrivial.get(d, HomologyGroup(0)) for d in range(length)]
+
+
 # ---------------------------------------------------------------------------
 # figure-level counts
 # ---------------------------------------------------------------------------
@@ -153,8 +161,7 @@ def sphere_shadow(sc: SeparationComplex) -> CheckResult:
     """Reduced homology of a single sphere of dimension n-3."""
     scope = f"{sc.relation}({sc.n})"
     groups = reduced_homology(sc.complex)
-    expected = [HomologyGroup(1) if d == sc.n - 3 else HomologyGroup(0)
-                for d in range(len(groups))]
+    expected = _expected_groups(len(groups), {sc.n - 3: HomologyGroup(1)})
     return _row(f"sphere-homology {scope}", scope,
                 _homology_str(expected), _homology_str(groups))
 
@@ -178,8 +185,7 @@ def antipodal_checks(n: int) -> list[CheckResult]:
     mapping = isomorphic(sub.complex, reference)
     out = [_row(f"cross-polytope-isomorphism K({n})", scope, True, mapping is not None)]
     groups = reduced_homology(sub.complex)
-    expected = [HomologyGroup(1) if d == n - 3 else HomologyGroup(0)
-                for d in range(len(groups))]
+    expected = _expected_groups(len(groups), {n - 3: HomologyGroup(1)})
     out.append(_row(f"cross-polytope-homology K({n})", scope,
                     _homology_str(expected), _homology_str(groups)))
     return out
@@ -404,12 +410,14 @@ def star_cover_vertex_indices(sc: SeparationComplex, index_subset: Iterable[int]
     return cover
 
 
-def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[int]) -> CheckResult:
+def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[int],
+                                covering: Covering | None = None) -> CheckResult:
     """Inside one no-free-pair intersection, every nonempty intersection of
-    the star covering must expose a cone point."""
+    the star covering must expose a cone point. `covering` is sc's deletion
+    covering, built here when not given."""
     chosen = sorted(set(index_subset))
     scope = f"ws({sc.n}) sigma={{{','.join(map(str, chosen))}}}"
-    covering = deletion_covering(sc)
+    covering = covering or deletion_covering(sc)
     cx = sc.complex
     for i in chosen:
         cx = cx.intersection(covering.members[i])
@@ -419,23 +427,12 @@ def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[in
     star_covering = Covering(cx, tuple(members), tuple(labels))
     if not star_covering.covers_parent():
         return CheckResult(f"star-cover-covers {scope}", scope, "True", "False", FAIL)
-    checked = missing = 0
-    for tmask in range(1, 1 << len(members)):
-        inter = None
-        rest = tmask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = members[low.bit_length() - 1]
-            inter = m if inter is None else inter.intersection(m)
-        if inter.is_empty:
-            continue
-        checked += 1
-        if not inter.cone_points():
-            missing += 1
+    inters = [inter for tmask, inter in _all_intersections(star_covering).items()
+              if tmask and not inter.is_empty]
+    missing = sum(1 for inter in inters if not inter.cone_points())
     return _row(f"star-cover-cone-points {scope}", scope,
                 "0 missing", f"{missing} missing",
-                witness=f"{checked} nonempty intersections")
+                witness=f"{len(inters)} nonempty intersections")
 
 
 def no_free_pair_subsets(n: int) -> list[tuple[int, ...]]:
@@ -451,7 +448,9 @@ def no_free_pair_subsets(n: int) -> list[tuple[int, ...]]:
 
 def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
     scope = f"ws({sc.n})"
-    rows = [star_cover_cone_point_check(sc, s) for s in no_free_pair_subsets(sc.n)]
+    covering = deletion_covering(sc)
+    rows = [star_cover_cone_point_check(sc, s, covering)
+            for s in no_free_pair_subsets(sc.n)]
     bad = [r for r in rows if r.status != PASS]
     summary = _row(f"star-cover-cone-points-all {scope}", scope,
                    f"{len(rows)} intersections clean",
@@ -465,10 +464,6 @@ def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 _SQUARE = Complex(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (0, 3)])
-
-
-def _expected_groups(length: int, nontrivial: dict[int, HomologyGroup]) -> list[HomologyGroup]:
-    return [nontrivial.get(d, HomologyGroup(0)) for d in range(length)]
 
 
 def boundary_findings(ss5: SeparationComplex | None = None,
@@ -542,6 +537,90 @@ def boundary_findings(ss5: SeparationComplex | None = None,
 
 
 # ---------------------------------------------------------------------------
+# the check table: `sepcx verify` and the report both read it
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """A named check: run(get, n, rel) gives its rows, building complexes with
+    get(n, rel); rel is None if it takes no relation. The report runs it at
+    each n in report_sizes(nmax), relations innermost, announcing `stage`."""
+
+    name: str
+    relations: tuple[str, ...]  # the relations it runs on; --relation narrows them
+    sizes: range  # the ground sizes it is defined at
+    run: Callable[..., list[CheckResult]]
+    stage: str = ""
+    report_sizes: Callable[[int], Iterable[int]] = lambda nmax: ()
+
+
+_PAPER_SIZES = range(4, MAX_GROUND_SIZE + 1)  # the claims are about n >= 4
+
+
+def _built_sizes(nmax: int) -> range:
+    """Ground sizes whose ss and ws complexes the report builds and shares."""
+    return range(4, min(nmax, 5) + 1)
+
+
+# In report order. Rows call each check by its module-global name, so that
+# replacing a module attribute (as span tracing does) reaches the report.
+CHECKS = (
+    Check("figures", (), range(3, 5), lambda get, n, rel: figure_checks(),
+          "figure counts", lambda nmax: (3,)),
+    Check("contractibility", ("ws",), _PAPER_SIZES,
+          lambda get, n, rel: contractibility_shadow(get(n, rel)),
+          "contractibility shadow {rel}({n})", _built_sizes),
+    Check("sphere", ("ss",), _PAPER_SIZES,
+          lambda get, n, rel: [sphere_shadow(get(n, rel))],
+          "sphere shadow {rel}({n})", _built_sizes),
+    Check("purity", ("ss", "ws"), _PAPER_SIZES,
+          lambda get, n, rel: [purity_check(get(n, rel))]),
+    Check("cross-polytope", (), _PAPER_SIZES, lambda get, n, rel: antipodal_checks(n),
+          "cross polytope n={n}", lambda nmax: range(4, 8)),
+    Check("retraction", ("ss",), _PAPER_SIZES,
+          lambda get, n, rel: retraction_checks(get(n, rel)),
+          "retraction checks {rel}({n})", _built_sizes),
+    Check("lemma-4-4", ("ss",), _PAPER_SIZES,
+          lambda get, n, rel: [_violations_row(
+              "image-nonempty", sc := get(n, rel), image_nonempty_violations(sc))]),
+    Check("chain-condition", ("ss",), _PAPER_SIZES,
+          lambda get, n, rel: [chain_condition_row(get(n, rel))]),
+    Check("equivariance", ("ss", "ws"), _PAPER_SIZES,
+          lambda get, n, rel: equivariance_checks(get(n, rel)),
+          "equivariance {rel}({n})", _built_sizes),
+    Check("covering", ("ws",), _PAPER_SIZES,
+          lambda get, n, rel: covering_checks(sc := get(n, rel)) + star_cover_checks(sc),
+          "covering checks {rel}({n})", _built_sizes),
+    Check("cone-points", ("ws",), _PAPER_SIZES,
+          lambda get, n, rel: star_cover_checks(get(n, rel))),
+    Check("boundary-findings", (), range(5, 6),
+          lambda get, n, rel: boundary_findings(get(n, "ss"), get(n, "ws")),
+          "boundary findings n={n}", lambda nmax: (5,) if nmax >= 5 else ()),
+)
+
+CHECK_NAMES = tuple(check.name for check in CHECKS)
+
+
+def run_named_check(name: str, n: int, relation: str | None = None,
+                    cap: int | None = None) -> list[CheckResult]:
+    """Run one row of CHECKS at ground size n, on `relation` if given, else
+    on every relation the check takes."""
+    check = next((c for c in CHECKS if c.name == name), None)
+    if check is None:
+        raise ValueError(f"unknown check {name!r}")
+    if relation is not None and relation not in check.relations:
+        raise ValueError(f"check {name} does not take --relation {relation}")
+    if n not in check.sizes:
+        lo, hi = check.sizes[0], check.sizes[-1]
+        raise ValueError(f"check {name} is defined at n = {lo}"
+                         + (f"..{hi}" if hi > lo else "") + f", got n = {n}")
+    check_enumeration_cap(n, cap)
+    get = lambda m, rel: build(m, rel, cap)
+    return [row for rel in ((relation,) if relation else check.relations or (None,))
+            for row in check.run(get, n, rel)]
+
+
+# ---------------------------------------------------------------------------
 # the full report
 # ---------------------------------------------------------------------------
 
@@ -552,7 +631,9 @@ def _skipped(check: str, scope: str, reason: str) -> CheckResult:
 def full_report(nmax: int = 5, allow_heavy: bool = False,
                 force_heavy: bool = False,
                 progress: Callable[[str], None] | None = None) -> list[CheckResult]:
-    """Every machine check, in a fixed order, up to ground size nmax.
+    """Every machine check up to ground size nmax: the rows of CHECKS that
+    the report runs, in table order and sharing the complexes they build,
+    then the ground size 6 checks.
 
     Ground size 6 work is gated: the strong-separation checks run with
     allow_heavy, the weak-separation homology additionally needs force_heavy.
@@ -561,42 +642,12 @@ def full_report(nmax: int = 5, allow_heavy: bool = False,
         raise ValueError("the report needs nmax >= 4")
     say = progress or (lambda msg: None)
     results: list[CheckResult] = []
-
-    say("figure counts")
-    results.extend(figure_checks())
-
-    small_max = min(nmax, 5)
-    built = {(n, rel): build(n, rel) for n in range(4, small_max + 1)
-             for rel in ("ss", "ws")}
-
-    for n in range(4, small_max + 1):
-        say(f"contractibility shadow ws({n})")
-        results.extend(contractibility_shadow(built[(n, "ws")]))
-    for n in range(4, small_max + 1):
-        say(f"sphere shadow ss({n})")
-        results.append(sphere_shadow(built[(n, "ss")]))
-
-    for n in range(4, 8):
-        say(f"cross polytope n={n}")
-        results.extend(antipodal_checks(n))
-
-    for n in range(4, small_max + 1):
-        say(f"retraction checks ss({n})")
-        results.extend(retraction_checks(built[(n, "ss")]))
-
-    for n in range(4, small_max + 1):
-        for rel in ("ss", "ws"):
-            say(f"equivariance {rel}({n})")
-            results.extend(equivariance_checks(built[(n, rel)]))
-
-    for n in range(4, small_max + 1):
-        say(f"covering checks ws({n})")
-        results.extend(covering_checks(built[(n, "ws")]))
-        results.extend(star_cover_checks(built[(n, "ws")]))
-
-    if nmax >= 5:
-        say("boundary findings n=5")
-        results.extend(boundary_findings(built[(5, "ss")], built[(5, "ws")]))
+    get = functools.cache(build)
+    for check in CHECKS:
+        for n in check.report_sizes(nmax):
+            for rel in check.relations or (None,):
+                say(check.stage.format(n=n, rel=rel))
+                results.extend(check.run(get, n, rel))
 
     if nmax >= 6:
         if allow_heavy or force_heavy:
@@ -614,57 +665,3 @@ def full_report(nmax: int = 5, allow_heavy: bool = False,
         else:
             results.append(_skipped("homology-trivial ws(6)", "ws(6)", "needs --force-heavy"))
     return results
-
-
-# ---------------------------------------------------------------------------
-# named checks for the command line
-# ---------------------------------------------------------------------------
-
-# the relations a named check runs on; --relation may narrow them to one
-_CHECK_RELATIONS = {
-    "lemma-4-4": ("ss",), "chain-condition": ("ss",), "retraction": ("ss",),
-    "equivariance": ("ss", "ws"), "purity": ("ss", "ws"),
-    "covering": ("ws",), "cone-points": ("ws",),
-}
-
-
-def run_named_check(name: str, n: int, relation: str | None = None,
-                    cap: int | None = None) -> list[CheckResult]:
-    if name not in CHECK_NAMES:
-        raise ValueError(f"unknown check {name!r}")
-    takes = _CHECK_RELATIONS.get(name, ())
-    if relation is not None and relation not in takes:
-        raise ValueError(f"check {name} does not take --relation {relation}")
-    relations = (relation,) if relation else takes
-    if name == "figures":
-        return figure_checks()
-    if name == "lemma-4-4":
-        sc = build(n, "ss", cap)
-        return [_violations_row("image-nonempty", sc, image_nonempty_violations(sc))]
-    if name == "chain-condition":
-        return [chain_condition_row(build(n, "ss", cap))]
-    if name == "retraction":
-        return retraction_checks(build(n, "ss", cap))
-    if name == "equivariance":
-        out = []
-        for rel in relations:
-            out.extend(equivariance_checks(build(n, rel, cap)))
-        return out
-    if name == "covering":
-        return covering_checks(build(n, "ws", cap))
-    if name == "cone-points":
-        return star_cover_checks(build(n, "ws", cap))
-    if name == "purity":
-        return [purity_check(build(n, rel, cap)) for rel in relations]
-    if name == "cross-polytope":
-        check_enumeration_cap(n, cap)
-        return antipodal_checks(n)
-    if n != 5:
-        raise ValueError("boundary findings are defined at n = 5")
-    return boundary_findings()
-
-
-CHECK_NAMES = (
-    "figures", "lemma-4-4", "chain-condition", "retraction", "equivariance",
-    "covering", "cone-points", "purity", "cross-polytope", "boundary-findings",
-)

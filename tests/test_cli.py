@@ -1,4 +1,5 @@
 """The command-line surface: verbs, formats, exit codes, round trips."""
+import hashlib
 import json
 
 import pytest
@@ -112,6 +113,7 @@ def test_missing_input(capsys):
     ({"n": "x", "vertices": ["1"], "facets": [[0]]}, "ground size must be"),
     ({"n": 0, "vertices": ["1"], "facets": [[0]]}, "ground size must be"),
     ({"relation": "zz", "vertices": ["1"], "facets": [[0]]}, "relation must be"),
+    ({"n": True, "vertices": ["1"], "facets": [[0]]}, "ground size must be"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
@@ -132,6 +134,24 @@ def test_verify_cross_polytope_respects_the_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "cross-polytope", "--n", "8")
     assert code == 3
     assert "cap" in err
+
+
+def test_verify_boundary_findings_respects_the_cap(capsys):
+    code, stdout, err = run_cli(capsys, "verify", "boundary-findings", "--n", "5",
+                                "--cap", "4")
+    assert code == 3
+    assert stdout == ""
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("check, n", [
+    ("figures", "99"), ("figures", "5"), ("boundary-findings", "4"), ("purity", "3"),
+])
+def test_verify_rejects_a_size_the_check_is_not_defined_at(capsys, check, n):
+    code, stdout, err = run_cli(capsys, "verify", check, "--n", n)
+    assert code == 2
+    assert stdout == ""
+    assert f"check {check} is defined at n = " in err
 
 
 @pytest.mark.parametrize("check, relation", [
@@ -181,3 +201,21 @@ def test_reproduce_paper_text_output(capsys):
     code, stdout, _ = run_cli(capsys, "reproduce-paper", "--n", "4")
     assert code == 0
     assert "f-vector ss(4) [n=4]: PASS" in stdout
+
+
+# progress lines of `reproduce-paper --n 4`, in order
+REPORT_N4_STAGES = [
+    "figure counts", "contractibility shadow ws(4)", "sphere shadow ss(4)",
+    "cross polytope n=4", "cross polytope n=5", "cross polytope n=6",
+    "cross polytope n=7", "retraction checks ss(4)", "equivariance ss(4)",
+    "equivariance ws(4)", "covering checks ws(4)",
+]
+
+
+def test_reproduce_paper_n4_is_byte_identical(capsys):
+    code, stdout, err = run_cli(capsys, "reproduce-paper", "--n", "4",
+                                "--format", "json", "--progress")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
+        "4d9c411709a77d7736733e000c31fbdd42796981befafd443805777fc33931cd")
+    assert err.splitlines() == [f"... {stage}" for stage in REPORT_N4_STAGES]

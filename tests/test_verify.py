@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcomplex.separation import retraction_images
+from sepcomplex.separation import CapExceeded, retraction_images
 from sepcomplex.verify import (
     CHECK_NAMES,
+    CHECKS,
     CheckResult,
     antipodal_checks,
     any_failed,
@@ -190,7 +191,29 @@ def test_run_named_check_dispatch():
         run_named_check("nonsense", 4)
     with pytest.raises(ValueError):
         run_named_check("boundary-findings", 4)
-    assert set(CHECK_NAMES) >= {"lemma-4-4", "chain-condition", "covering"}
+    with pytest.raises(ValueError, match="defined at n = 3..4"):
+        run_named_check("figures", 99)
+    with pytest.raises(ValueError, match="does not take --relation ws"):
+        run_named_check("sphere", 4, relation="ws")
+    with pytest.raises(CapExceeded):
+        run_named_check("boundary-findings", 5, cap=4)
+    with pytest.raises(CapExceeded):
+        run_named_check("figures", 4, cap=3)
+    assert set(CHECK_NAMES) >= {"lemma-4-4", "chain-condition", "covering",
+                                "contractibility", "sphere"}
+    assert CHECK_NAMES == tuple(check.name for check in CHECKS)
+    # `verify covering` runs what the report's covering stage runs
+    covering = run_named_check("covering", 4)
+    assert covering[-1].check == "star-cover-cone-points-all ws(4)"
+    assert [r.check for r in run_named_check("equivariance", 4)] == [
+        r.check for rel in ("ss", "ws") for r in run_named_check("equivariance", 4, rel)]
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_named_check_passes_at_its_smallest_size(name):
+    check = next(c for c in CHECKS if c.name == name)
+    results = run_named_check(name, min(check.sizes))
+    assert results and all_pass(results)
 
 
 def test_report_formatting():
