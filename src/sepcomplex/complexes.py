@@ -48,6 +48,33 @@ def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def _least_free_face(face: int, above: int, containers: list[int]) -> tuple[int, int] | None:
+    """The lexicographically least free face extending `face` by vertices in
+    `above`, with its one facet; None if there is none.
+
+    `containers` are the facets holding `face`: two or more, or every facet
+    at the root (face 0, above -1). Extensions are tried in ascending vertex
+    order and each is walked before the next, so faces come in lexicographic
+    order of their vertex tuples.
+    """
+    union = 0
+    for f in containers:
+        union |= f
+    rest = union & above
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inside = [f for f in containers if f & low]
+        child = face | low
+        if len(inside) > 1:
+            found = _least_free_face(child, -(low << 1), inside)
+            if found is not None:
+                return found
+        elif inside[0] != child:
+            return child, inside[0]
+    return None
+
+
 class Complex:
     """Immutable simplicial complex: vertex labels plus maximal faces."""
 
@@ -309,6 +336,11 @@ class Complex:
         """Repeatedly remove the lexicographically least free face with its facet.
 
         A free face is a non-maximal face contained in exactly one facet.
+        Each step finds it with one depth-first walk over the faces in
+        lexicographic order of their vertex tuples: a face carries the
+        facets containing it, only faces in two or more facets are extended
+        (by vertices above their top vertex, ascending), and the walk stops
+        at the first face in exactly one facet that is not that facet.
         Reaching a single vertex certifies contractibility; getting stuck
         decides nothing.
         """
@@ -317,27 +349,10 @@ class Complex:
         while True:
             if len(facets) == 1 and next(iter(facets)).bit_count() == 1:
                 return CollapseOutcome("collapsed-to-point", 1, steps)
-            best: tuple[tuple[int, ...], int, int] | None = None
-            for big in sorted(facets):
-                others = [big & g for g in facets if g != big]
-                others = [o for o in set(others) if o]
-                t = _mask_to_tuple(big)
-                subs: list[tuple[int, ...]] = []
-                for k in range(1, len(t)):
-                    subs.extend(combinations(t, k))
-                subs.sort()
-                for sub in subs:
-                    if best is not None and sub >= best[0]:
-                        break
-                    sm = 0
-                    for v in sub:
-                        sm |= 1 << v
-                    if not any(sm & ~o == 0 for o in others):
-                        best = (sub, sm, big)
-                        break
-            if best is None:
+            found = _least_free_face(0, -1, list(facets))
+            if found is None:
                 return CollapseOutcome("stuck", len(facets), steps)
-            _, sm, big = best
+            sm, big = found
             facets.remove(big)
             rest = sm
             while rest:

@@ -3,13 +3,18 @@
 Each check compares a computed quantity against a frozen expected value and
 yields a CheckResult row. Contractibility-style claims are never decided;
 they are certified in decreasing strength: a cone point, a full greedy
-collapse, or (inconclusively) trivial reduced homology alone. The
-retraction and equivariance checks read one table of retraction images
-(separation.retraction_images) and sweep every face; none samples. The
-chain condition counts the faces that have a violating subface.
+collapse, or (inconclusively) trivial reduced homology alone. Each collapse
+step finds the lexicographically least free face by one depth-first face
+walk (Complex.greedy_collapse). The retraction and equivariance checks read
+one table of retraction images (separation.retraction_images) and sweep
+every face; none samples. The chain condition counts the faces that have a
+violating subface.
 
 One table, CHECKS, lists the named checks for both `sepcx verify`
-(run_named_check) and `sepcx reproduce-paper` (full_report).
+(run_named_check) and `sepcx reproduce-paper` (full_report). Every row,
+figures and boundary findings included, builds its complexes through the
+builder it is given, so the report builds each of ss/ws(3), (4), (5) once
+and `verify` applies its cap to all of them.
 """
 from __future__ import annotations
 
@@ -113,15 +118,19 @@ def _expected_groups(length: int, nontrivial: dict[int, HomologyGroup]) -> list[
 # figure-level counts
 # ---------------------------------------------------------------------------
 
-def figure_checks() -> list[CheckResult]:
+Builder = Callable[[int, str], SeparationComplex]
+
+
+def figure_checks(get: Builder = build) -> list[CheckResult]:
+    """The counts of the paper's figures at n = 3, 4, building with get(n, rel)."""
     out = []
     for relation in ("ss", "ws"):
-        sc = build(3, relation)
+        sc = get(3, relation)
         out.append(_row(f"vertices {relation}(3)", "n=3",
                         "('13', '2')", str(tuple(sorted(sc.complex.labels)))))
         edge_count = sc.complex.face_counts()[1] if len(sc.complex.face_counts()) > 1 else 0
         out.append(_row(f"edges {relation}(3)", "n=3", 0, edge_count))
-    ss4, ws4 = build(4, "ss"), build(4, "ws")
+    ss4, ws4 = get(4, "ss"), get(4, "ws")
     out.append(_row("f-vector ss(4)", "n=4", (8, 16, 8), ss4.complex.face_counts()))
     out.append(_row("f-vector ws(4)", "n=4", (8, 17, 10), ws4.complex.face_counts()))
 
@@ -338,10 +347,12 @@ def _all_intersections(covering: Covering) -> dict[int, Complex]:
     return inters
 
 
-def covering_checks(sc: SeparationComplex, with_certificates: bool = True) -> list[CheckResult]:
-    """The deletion covering: union, nerve, and every index-subset intersection."""
+def covering_checks(sc: SeparationComplex, with_certificates: bool = True,
+                    covering: Covering | None = None) -> list[CheckResult]:
+    """The deletion covering: union, nerve, and every index-subset intersection.
+    `covering` is sc's deletion covering, built here when not given."""
     scope = f"ws({sc.n})"
-    covering = deletion_covering(sc)
+    covering = covering or deletion_covering(sc)
     out = [
         _row(f"covering-members-are-subcomplexes {scope}", scope, True,
              covering.members_are_subcomplexes()),
@@ -446,9 +457,12 @@ def no_free_pair_subsets(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
+def star_cover_checks(sc: SeparationComplex,
+                      covering: Covering | None = None) -> list[CheckResult]:
+    """Every no-free-pair intersection passes star_cover_cone_point_check.
+    `covering` is sc's deletion covering, built here when not given."""
     scope = f"ws({sc.n})"
-    covering = deletion_covering(sc)
+    covering = covering or deletion_covering(sc)
     rows = [star_cover_cone_point_check(sc, s, covering)
             for s in no_free_pair_subsets(sc.n)]
     bad = [r for r in rows if r.status != PASS]
@@ -459,6 +473,12 @@ def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
     return [summary]
 
 
+def _covering_stage(sc: SeparationComplex) -> list[CheckResult]:
+    """covering_checks then star_cover_checks, sharing one deletion covering."""
+    covering = deletion_covering(sc)
+    return covering_checks(sc, covering=covering) + star_cover_checks(sc, covering)
+
+
 # ---------------------------------------------------------------------------
 # boundary findings at n = 5
 # ---------------------------------------------------------------------------
@@ -467,14 +487,13 @@ _SQUARE = Complex(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def boundary_findings(ss5: SeparationComplex | None = None,
-                      ws5: SeparationComplex | None = None) -> list[CheckResult]:
-    """Purity, boundary homology, and the anomalous links at n = 5."""
-    ss5 = ss5 or build(5, "ss")
-    ws5 = ws5 or build(5, "ws")
-    out = []
-    for n in (4, 5):
-        for sc in ((build(n, "ss"), build(n, "ws")) if n == 4 else (ss5, ws5)):
-            out.append(purity_check(sc))
+                      ws5: SeparationComplex | None = None,
+                      get: Builder = build) -> list[CheckResult]:
+    """Purity, boundary homology, and the anomalous links at n = 5; the
+    complexes not given are built with get(n, rel)."""
+    ss5 = ss5 or get(5, "ss")
+    ws5 = ws5 or get(5, "ws")
+    out = [purity_check(sc) for sc in (get(4, "ss"), get(4, "ws"), ss5, ws5)]
 
     expected_by_relation = {
         "ss": {2: HomologyGroup(1), 3: HomologyGroup(9), 4: HomologyGroup(1)},
@@ -565,7 +584,7 @@ def _built_sizes(nmax: int) -> range:
 # In report order. Rows call each check by its module-global name, so that
 # replacing a module attribute (as span tracing does) reaches the report.
 CHECKS = (
-    Check("figures", (), range(3, 5), lambda get, n, rel: figure_checks(),
+    Check("figures", (), range(3, 5), lambda get, n, rel: figure_checks(get),
           "figure counts", lambda nmax: (3,)),
     Check("contractibility", ("ws",), _PAPER_SIZES,
           lambda get, n, rel: contractibility_shadow(get(n, rel)),
@@ -589,12 +608,12 @@ CHECKS = (
           lambda get, n, rel: equivariance_checks(get(n, rel)),
           "equivariance {rel}({n})", _built_sizes),
     Check("covering", ("ws",), _PAPER_SIZES,
-          lambda get, n, rel: covering_checks(sc := get(n, rel)) + star_cover_checks(sc),
+          lambda get, n, rel: _covering_stage(get(n, rel)),
           "covering checks {rel}({n})", _built_sizes),
     Check("cone-points", ("ws",), _PAPER_SIZES,
           lambda get, n, rel: star_cover_checks(get(n, rel))),
     Check("boundary-findings", (), range(5, 6),
-          lambda get, n, rel: boundary_findings(get(n, "ss"), get(n, "ws")),
+          lambda get, n, rel: boundary_findings(get=get),
           "boundary findings n={n}", lambda nmax: (5,) if nmax >= 5 else ()),
 )
 

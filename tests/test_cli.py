@@ -144,6 +144,13 @@ def test_verify_boundary_findings_respects_the_cap(capsys):
     assert "cap" in err
 
 
+def test_verify_figures_respects_the_cap(capsys):
+    code, stdout, err = run_cli(capsys, "verify", "figures", "--n", "3", "--cap", "3")
+    assert code == 3
+    assert stdout == ""
+    assert "cap" in err
+
+
 @pytest.mark.parametrize("check, n", [
     ("figures", "99"), ("figures", "5"), ("boundary-findings", "4"), ("purity", "3"),
 ])

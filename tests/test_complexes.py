@@ -2,10 +2,14 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sepcomplex.complexes import (
+    CollapseOutcome,
     Complex,
     Covering,
+    _mask_to_tuple,
     clique_complex,
     clique_complex_of_graph,
     cross_polytope_boundary,
@@ -296,6 +300,85 @@ def test_collapse_is_deterministic(ws4):
     a = ws4.complex.greedy_collapse()
     b = ws4.complex.greedy_collapse()
     assert a == b
+
+
+def subset_scan_collapse(self):
+    """The earlier greedy_collapse, kept verbatim as the oracle: each step
+    scans the sorted subsets of every facet for the least free face."""
+    facets = set(self.facets)
+    steps = 0
+    while True:
+        if len(facets) == 1 and next(iter(facets)).bit_count() == 1:
+            return CollapseOutcome("collapsed-to-point", 1, steps)
+        best: tuple[tuple[int, ...], int, int] | None = None
+        for big in sorted(facets):
+            others = [big & g for g in facets if g != big]
+            others = [o for o in set(others) if o]
+            t = _mask_to_tuple(big)
+            subs: list[tuple[int, ...]] = []
+            for k in range(1, len(t)):
+                subs.extend(combinations(t, k))
+            subs.sort()
+            for sub in subs:
+                if best is not None and sub >= best[0]:
+                    break
+                sm = 0
+                for v in sub:
+                    sm |= 1 << v
+                if not any(sm & ~o == 0 for o in others):
+                    best = (sub, sm, big)
+                    break
+        if best is None:
+            return CollapseOutcome("stuck", len(facets), steps)
+        _, sm, big = best
+        facets.remove(big)
+        rest = sm
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand = big ^ low
+            if cand and not any(cand & ~g == 0 for g in facets):
+                facets.add(cand)
+        steps += 1
+
+
+@st.composite
+def random_clique_complexes(draw):
+    """Clique complex of a random graph on at most 9 vertices."""
+    n = draw(st.integers(0, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adjacency = [0] * n
+    for present, (a, b) in zip(edges, pairs):
+        if present:
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+    return clique_complex([str(i) for i in range(n)], adjacency)
+
+
+@st.composite
+def random_facet_complexes(draw):
+    """Facet-only complex of random facets over at most 9 vertices."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return Complex.empty()
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+    return Complex([str(i) for i in range(n)], draw(st.lists(facet, max_size=10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_clique_complexes(), random_facet_complexes()))
+@example(Complex.empty())
+@example(Complex(list("abc"), [(0,), (1,), (2,)]))
+@example(Complex(list("abcd"), [(0, 1, 2), (3,)]))
+@example(Complex(list("a"), [(0,)]))
+def test_greedy_collapse_matches_subset_scan(cx):
+    assert cx.greedy_collapse() == subset_scan_collapse(cx)
+
+
+def test_greedy_collapse_paper_values(ws4, ws5):
+    assert ws4.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 12)
+    assert ws5.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 433)
 
 
 # --- isomorphism ------------------------------------------------------------------------

@@ -149,6 +149,12 @@ def test_equivariance(ss4, ws4):
     assert all_pass(equivariance_checks(ws4))
 
 
+def test_ws5_certificate_row(ws5):
+    row = covering_checks(ws5)[-1]
+    assert row.check == "covering-intersection-certificates ws(5)"
+    assert row.computed == "cone-point 15, collapsed 49, uncertified 0"
+
+
 def test_covering_checks_n4(ws4):
     results = covering_checks(ws4)
     assert all_pass(results)
