@@ -14,7 +14,7 @@ from typing import Sequence
 from .complexes import Complex
 from .homology import format_homology, homology_summary, reduced_homology
 from .separation import CapExceeded, build, enumeration_cap
-from .subsets import check_ground_size, check_relation
+from .subsets import check_ground_size, check_relation, is_frozen, parse_subset
 from .verify import (
     CHECK_NAMES,
     any_failed,
@@ -47,11 +47,28 @@ def _load_complex(path: str) -> tuple[Complex, int | None, str | None]:
         data = json.load(fh)
     cx = Complex.from_dict(data)
     n, relation = data.get("n"), data.get("relation")
-    if n is not None:
-        check_ground_size(n)
     if relation is not None:
         check_relation(relation)
+    if n is not None:
+        _check_labels(cx.labels, check_ground_size(n), relation)
     return cx, n, relation
+
+
+def _check_labels(labels: Sequence[str], n: int, relation: str | None) -> None:
+    """Each label must name its own subset of [n], and a non-frozen one when
+    the complex carries its relation."""
+    named: dict[int, str] = {}
+    for label in labels:
+        try:
+            s = parse_subset(label, n)
+        except ValueError as exc:
+            raise ValueError(f"vertex label {label!r} is not a subset of [{n}]: {exc}") from None
+        if relation is not None and is_frozen(s, n, relation):
+            raise ValueError(f"vertex label {label!r} is a frozen subset of [{n}], "
+                             f"not a vertex of a {relation} complex")
+        if s in named:
+            raise ValueError(f"vertex labels {named[s]!r} and {label!r} name the same subset")
+        named[s] = label
 
 
 def _obtain_complex(args: argparse.Namespace) -> tuple[Complex, int | None, str | None]:

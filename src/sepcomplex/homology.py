@@ -5,6 +5,14 @@ Smith normal form by a two-phase elimination: a sparse phase that pivots only
 on +-1 entries (chosen by a Markowitz fill estimate, so the reduction stays
 fraction-free and fast on boundary matrices), then a dense textbook phase on
 whatever small residue is left. All arithmetic is arbitrary-precision.
+
+`reduced_homology` reduces the operators from the top dimension down with
+clearing (the twist of Chen-Kerber and Bauer-Kerber-Reininghaus): a d-face
+whose row held a +-1 pivot of the sparse phase of b_{d+1} is skipped as a
+column of b_d. The pivot block has determinant +-1 and b_d b_{d+1} = 0, so a
+skipped column is an integer combination of the kept ones; the column lattice
+of b_d, and with it its rank and invariant factors, is unchanged. Pivots of
+the dense phase need not be units and never clear a column.
 """
 from __future__ import annotations
 
@@ -141,16 +149,24 @@ def boundary_matrices(x: Complex) -> list[SparseIntMatrix]:
 
 def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
-    _, factors = _rank_and_factors(m)
+    _, factors, _ = _rank_and_factors(m)
     return factors
 
 
-def _rank_and_factors(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
+def _rank_and_factors(m: SparseIntMatrix, skip: frozenset[int] = frozenset()
+                      ) -> tuple[int, tuple[int, ...], list[int]]:
+    """Rank and invariant factors of `m` without the columns in `skip`, and
+    the rows where the sparse phase pivoted on a +-1 entry.
+
+    Skipping columns is sound only when they lie in the integer span of the
+    kept ones; `reduced_homology` guarantees that by clearing.
+    """
     rows: list[dict[int, int]] = [dict() for _ in range(m.nrows)]
     cols: list[dict[int, int]] = [dict() for _ in range(m.ncols)]
     for (i, j), v in m.entries.items():
-        rows[i][j] = v
-        cols[j][i] = v
+        if j not in skip:
+            rows[i][j] = v
+            cols[j][i] = v
 
     heap: list[tuple[int, int, int]] = []
     for j, col in enumerate(cols):
@@ -161,7 +177,7 @@ def _rank_and_factors(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
 
     row_alive = bytearray(b"\x01") * m.nrows
     col_alive = bytearray(b"\x01") * m.ncols
-    rank = 0
+    pivot_rows: list[int] = []
 
     while heap:
         cost, pi, pj = heapq.heappop(heap)
@@ -203,8 +219,9 @@ def _rank_and_factors(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
                 del cols[c2][pi]
         row_alive[pi] = 0
         col_alive[pj] = 0
-        rank += 1
+        pivot_rows.append(pi)
 
+    rank = len(pivot_rows)
     residual_rows = [i for i in range(m.nrows) if row_alive[i] and rows[i]]
     factors = [1] * rank
     if residual_rows:
@@ -217,7 +234,7 @@ def _rank_and_factors(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
         extra = _dense_snf(dense)
         rank += len(extra)
         factors.extend(extra)
-    return rank, tuple(factors)
+    return rank, tuple(factors), pivot_rows
 
 
 def _dense_snf(mat: list[list[int]]) -> list[int]:
@@ -282,19 +299,21 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
     """Reduced integer homology groups, one per dimension 0..dim(x).
 
     The rank in dimension d is f_d - rank(b_d) - rank(b_{d+1}); the torsion
-    comes from the invariant factors of b_{d+1} exceeding 1.
+    comes from the invariant factors of b_{d+1} exceeding 1. The operators
+    are reduced from the top dimension down, and b_d skips as columns the
+    d-faces whose rows held the unit pivots of b_{d+1} (clearing, see the
+    module docstring), which leaves every rank and invariant factor as it is.
     """
     mats = boundary_matrices(x)
     if not mats:
         return []
-    ranks = []
-    torsions = []
-    for mat in mats:
-        r, factors = _rank_and_factors(mat)
-        ranks.append(r)
-        torsions.append(tuple(t for t in factors if t > 1))
-    ranks.append(0)
-    torsions.append(())
+    ranks = [0] * (len(mats) + 1)
+    torsions: list[tuple[int, ...]] = [()] * (len(mats) + 1)
+    cleared: frozenset[int] = frozenset()
+    for d in reversed(range(len(mats))):
+        ranks[d], factors, pivot_rows = _rank_and_factors(mats[d], cleared)
+        torsions[d] = tuple(t for t in factors if t > 1)
+        cleared = frozenset(pivot_rows)
     out = []
     for d, mat in enumerate(mats):
         betti = mat.ncols - ranks[d] - ranks[d + 1]

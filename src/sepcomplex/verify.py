@@ -22,7 +22,7 @@ import functools
 import json
 from dataclasses import asdict, dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import Complex, Covering, cross_polytope_boundary, isomorphic, nerve
 from .homology import HomologyGroup, reduced_homology
@@ -348,9 +348,11 @@ def _all_intersections(covering: Covering) -> dict[int, Complex]:
 
 
 def covering_checks(sc: SeparationComplex, with_certificates: bool = True,
-                    covering: Covering | None = None) -> list[CheckResult]:
+                    covering: Covering | None = None,
+                    inters: Mapping[int, Complex] | None = None) -> list[CheckResult]:
     """The deletion covering: union, nerve, and every index-subset intersection.
-    `covering` is sc's deletion covering, built here when not given."""
+    `covering` is sc's deletion covering and `inters` its `_all_intersections`,
+    each built here when not given."""
     scope = f"ws({sc.n})"
     covering = covering or deletion_covering(sc)
     out = [
@@ -367,7 +369,7 @@ def covering_checks(sc: SeparationComplex, with_certificates: bool = True,
                     f"simplex on {want} vertices" if nerve_cx.facets == (full,)
                     else f"facets {nerve_cx.facet_tuples()}"))
     star = central_edge_star(sc)
-    inters = _all_intersections(covering)
+    inters = inters or _all_intersections(covering)
     total = len(inters)
     nonempty = sum(1 for cx in inters.values() if not cx.is_empty)
     contain_star = sum(
@@ -422,16 +424,21 @@ def star_cover_vertex_indices(sc: SeparationComplex, index_subset: Iterable[int]
 
 
 def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[int],
-                                covering: Covering | None = None) -> CheckResult:
+                                covering: Covering | None = None,
+                                inters: Mapping[int, Complex] | None = None) -> CheckResult:
     """Inside one no-free-pair intersection, every nonempty intersection of
     the star covering must expose a cone point. `covering` is sc's deletion
-    covering, built here when not given."""
+    covering, built here when not given; the intersection is read from
+    `inters`, the covering's `_all_intersections`, when given."""
     chosen = sorted(set(index_subset))
     scope = f"ws({sc.n}) sigma={{{','.join(map(str, chosen))}}}"
-    covering = covering or deletion_covering(sc)
-    cx = sc.complex
-    for i in chosen:
-        cx = cx.intersection(covering.members[i])
+    if inters is not None:
+        cx = inters[sum(1 << i for i in chosen)]
+    else:
+        covering = covering or deletion_covering(sc)
+        cx = sc.complex
+        for i in chosen:
+            cx = cx.intersection(covering.members[i])
     cover_vertices = star_cover_vertex_indices(sc, chosen)
     members = [cx.star_mask(1 << v) for v in cover_vertices]
     labels = [f"st({cx.labels[v]})" for v in cover_vertices]
@@ -457,13 +464,14 @@ def no_free_pair_subsets(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def star_cover_checks(sc: SeparationComplex,
-                      covering: Covering | None = None) -> list[CheckResult]:
+def star_cover_checks(sc: SeparationComplex, covering: Covering | None = None,
+                      inters: Mapping[int, Complex] | None = None) -> list[CheckResult]:
     """Every no-free-pair intersection passes star_cover_cone_point_check.
-    `covering` is sc's deletion covering, built here when not given."""
+    `covering` is sc's deletion covering, built here when not given, and
+    `inters` its `_all_intersections`, passed on when given."""
     scope = f"ws({sc.n})"
     covering = covering or deletion_covering(sc)
-    rows = [star_cover_cone_point_check(sc, s, covering)
+    rows = [star_cover_cone_point_check(sc, s, covering, inters)
             for s in no_free_pair_subsets(sc.n)]
     bad = [r for r in rows if r.status != PASS]
     summary = _row(f"star-cover-cone-points-all {scope}", scope,
@@ -474,9 +482,12 @@ def star_cover_checks(sc: SeparationComplex,
 
 
 def _covering_stage(sc: SeparationComplex) -> list[CheckResult]:
-    """covering_checks then star_cover_checks, sharing one deletion covering."""
+    """covering_checks then star_cover_checks, sharing one deletion covering
+    and one table of its intersections."""
     covering = deletion_covering(sc)
-    return covering_checks(sc, covering=covering) + star_cover_checks(sc, covering)
+    inters = _all_intersections(covering)
+    return (covering_checks(sc, covering=covering, inters=inters)
+            + star_cover_checks(sc, covering, inters))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,15 @@ def test_missing_input(capsys):
     ({"n": 0, "vertices": ["1"], "facets": [[0]]}, "ground size must be"),
     ({"relation": "zz", "vertices": ["1"], "facets": [[0]]}, "relation must be"),
     ({"n": True, "vertices": ["1"], "facets": [[0]]}, "ground size must be"),
+    ({"n": 4, "vertices": ["2", "x"], "facets": [[0, 1]]}, "'x' is not a subset of [4]"),
+    ({"n": 4, "vertices": ["2", "25"], "facets": [[0, 1]]}, "'25' is not a subset of [4]"),
+    ({"n": 4, "vertices": ["2", "22"], "facets": [[0, 1]]}, "'22' is not a subset of [4]"),
+    ({"n": 4, "relation": "ss", "vertices": ["2", "12"], "facets": [[0, 1]]},
+     "'12' is a frozen subset of [4]"),
+    ({"n": 4, "relation": "ws", "vertices": ["{}", "2"], "facets": [[0, 1]]},
+     "'{}' is a frozen subset of [4]"),
+    ({"n": 4, "relation": "zz", "vertices": ["x"], "facets": [[0]]}, "relation must be"),
+    ({"n": 4, "vertices": ["23", "32"], "facets": [[0, 1]]}, "name the same subset"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"

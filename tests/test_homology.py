@@ -1,9 +1,12 @@
 """Integer homology: Smith form against a textbook oracle, known spaces,
-and the rational-rank cross-check."""
+the rational-rank cross-check, and cleared against uncleared reduction."""
 import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_complexes import random_clique_complexes, random_facet_complexes
 
 from sepcomplex.complexes import Complex, cross_polytope_boundary, isomorphic
 from sepcomplex.homology import (
@@ -29,6 +32,41 @@ TWO_CIRCLES = Complex(
     list("abcdef"),
     [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
 )
+
+
+def suspension(cx):
+    """Join with two new apexes; shifts reduced homology up one dimension."""
+    n = len(cx.labels)
+    return Complex(list(cx.labels) + ["north", "south"],
+                   [f + (apex,) for apex in (n, n + 1) for f in cx.facet_tuples()])
+
+
+def moore_space_z3():
+    """A disk whose 9 boundary vertices are wrapped three times round a
+    triangle: the Moore space M(Z/3, 1)."""
+    rim = [k % 3 for k in range(10)]
+    ring = [3 + k % 9 for k in range(10)]
+    facets = []
+    for k in range(9):
+        facets += [(rim[k], rim[k + 1], ring[k]), (rim[k + 1], ring[k], ring[k + 1]),
+                   (ring[k], ring[k + 1], 12)]
+    return Complex([str(v) for v in range(13)], facets)
+
+
+def klein_bottle():
+    """The 3 x 3 grid on Z/3 x Z/3, glued with b -> -b where a wraps."""
+    def v(a, b):
+        a %= 6
+        b %= 3
+        if a >= 3:
+            a, b = a - 3, -b % 3
+        return 3 * a + b
+    facets = []
+    for a in range(3):
+        for b in range(3):
+            facets += [(v(a, b), v(a + 1, b), v(a + 1, b + 1)),
+                       (v(a, b), v(a, b + 1), v(a + 1, b + 1))]
+    return Complex([str(k) for k in range(9)], facets)
 
 
 # --- independent oracle: recursive gcd-style Smith reduction -------------------
@@ -272,3 +310,50 @@ def test_homology_group_formatting():
     assert text == "H~0 = 0\nH~1 = Z"
     assert homology_summary([HomologyGroup(2, (2,))]) == [
         {"dim": 0, "rank": 2, "torsion": [2]}]
+
+
+# --- cleared against uncleared reduction ------------------------------------------------
+
+def uncleared_groups(cx):
+    """Reduced homology from smith_normal_form of each boundary matrix on its
+    own, bottom-up and with no clearing."""
+    mats = boundary_matrices(cx)
+    factors = [smith_normal_form(m) for m in mats] + [()]
+    return [HomologyGroup(m.ncols - len(factors[d]) - len(factors[d + 1]),
+                          tuple(t for t in factors[d + 1] if t > 1))
+            for d, m in enumerate(mats)]
+
+
+def assert_clearing_agrees(cx):
+    groups = reduced_homology(cx)
+    assert groups == uncleared_groups(cx)
+    assert [g.rank for g in groups] == betti_rational(cx)
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_clique_complexes(), random_facet_complexes()))
+def test_cleared_homology_matches_uncleared_and_rational(cx):
+    assert_clearing_agrees(cx)
+
+
+@pytest.mark.parametrize("cx, expected", [
+    (PROJECTIVE_PLANE, ["0", "Z/2", "0"]),
+    (suspension(PROJECTIVE_PLANE), ["0", "0", "Z/2", "0"]),
+    (suspension(suspension(PROJECTIVE_PLANE)), ["0", "0", "0", "Z/2", "0"]),
+    (Complex([str(k) for k in range(12)],
+             PROJECTIVE_PLANE.facet_tuples()
+             + [tuple(v + 6 for v in f) for f in PROJECTIVE_PLANE.facet_tuples()]),
+     ["Z", "Z/2 + Z/2", "0"]),
+    (moore_space_z3(), ["0", "Z/3", "0"]),
+    (klein_bottle(), ["0", "Z + Z/2", "0"]),
+], ids=["rp2", "suspended-rp2", "double-suspended-rp2", "two-rp2", "moore-z3", "klein"])
+def test_cleared_homology_on_torsion_corpus(cx, expected):
+    assert [str(g) for g in assert_clearing_agrees(cx)] == expected
+
+
+def test_cleared_homology_on_paper_complexes(ss4, ws4, ss5, ws5):
+    for sc in (ss4, ws4, ss5, ws5):
+        assert_clearing_agrees(sc.complex)
+    for sc in (ss5, ws5):
+        assert_clearing_agrees(sc.complex.boundary())

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcomplex.separation import CapExceeded, retraction_images
+from sepcomplex.separation import CapExceeded, deletion_covering, retraction_images
 from sepcomplex.verify import (
     CHECK_NAMES,
     CHECKS,
     CheckResult,
+    _all_intersections,
     antipodal_checks,
     any_failed,
     boundary_findings,
@@ -171,6 +172,22 @@ def test_star_cover(ws4):
     assert all_pass(star_cover_checks(ws4))
     single = star_cover_cone_point_check(ws4, (0, 2))
     assert single.status == "PASS"
+
+
+def test_star_cover_reads_the_covering_intersection_table(ws4, ws5):
+    for sc in (ws4, ws5):
+        covering = deletion_covering(sc)
+        inters = _all_intersections(covering)
+        for chosen in no_free_pair_subsets(sc.n):
+            fold = sc.complex
+            for i in chosen:
+                fold = fold.intersection(covering.members[i])
+            smask = sum(1 << i for i in chosen)
+            assert (inters[smask].labels, inters[smask].facets) == (fold.labels, fold.facets)
+            if sc is ws4:
+                # a table holding only this intersection: any other key raises
+                assert (star_cover_cone_point_check(sc, chosen, inters={smask: fold})
+                        == star_cover_cone_point_check(sc, chosen))
 
 
 def test_star_cover_rejects_free_pairs(ws4):
