@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .complexes import Complex
 from .homology import format_homology, homology_summary, reduced_homology
-from .separation import CapExceeded, build, enumeration_cap
+from .separation import CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP, CapExceeded, build
 from .subsets import check_ground_size, check_relation, is_frozen, parse_subset
 from .verify import (
     CHECK_NAMES,
@@ -63,7 +63,7 @@ def _check_labels(labels: Sequence[str], n: int, relation: str | None) -> None:
             s = parse_subset(label, n)
         except ValueError as exc:
             raise ValueError(f"vertex label {label!r} is not a subset of [{n}]: {exc}") from None
-        if relation is not None and is_frozen(s, n, relation):
+        if relation is not None and is_frozen(s, n):
             raise ValueError(f"vertex label {label!r} is a frozen subset of [{n}], "
                              f"not a vertex of a {relation} complex")
         if s in named:
@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="ground set size")
         p.add_argument("--relation", choices=("ws", "ss"), default=None)
         p.add_argument("--cap", type=int, default=None,
-                       help=f"enumeration cap override (default {enumeration_cap()})")
+                       help=f"enumeration cap override (default {CAP_ENV_VAR} "
+                            f"or {DEFAULT_ENUMERATION_CAP})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("build", help="build a separation complex and write JSON")

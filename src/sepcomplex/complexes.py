@@ -22,8 +22,8 @@ NERVE_INDEX_CAP = 20
 def _mask_of(face: Iterable[int], n_labels: int) -> int:
     m = 0
     for v in face:
-        if not isinstance(v, int) or not 0 <= v < n_labels:
-            raise ValueError(f"vertex index {v!r} outside table of size {n_labels}")
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_labels:
+            raise ValueError(f"vertex index {v!r} is not an integer in range({n_labels})")
         m |= 1 << v
     return m
 

@@ -27,7 +27,12 @@ def enumeration_cap(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_ENUMERATION_CAP
+    if not env:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def check_enumeration_cap(n: int, cap: int | None = None) -> None:
@@ -210,25 +215,20 @@ def retraction_image(sc: SeparationComplex, face: Iterable[int | str]) -> tuple[
 
 def deletion_covering(sc: SeparationComplex) -> Covering:
     """Covering of the weak-separation complex by deletions of the singletons
-    2..n-1 and their complements, with the induced symmetry action on indices."""
+    2..n-1 and their complements, with the induced symmetry action on indices.
+    Member 2m deletes vertex sc.singleton_pair_indices()[m][0], the singleton
+    m + 2, and member 2m + 1 deletes [m][1], its complement."""
     if sc.relation != "ws":
         raise ValueError("the deletion covering is defined on the weak-separation complex")
     if sc.n < 4:
         raise ValueError("the deletion covering needs n >= 4")
-    full = subsets.ground_mask(sc.n)
-    deleted_masks = []
-    for k in range(2, sc.n):
-        deleted_masks.append(1 << (k - 1))
-        deleted_masks.append(full ^ (1 << (k - 1)))
-    members = []
-    labels = []
-    for m in deleted_masks:
-        v = sc.vertex_index(m)
-        members.append(sc.complex.deletion_mask(1 << v))
-        labels.append(f"dl({subset_str(m, sc.n)})")
+    deleted = [v for pair in sc.singleton_pair_indices() for v in pair]
+    members = [sc.complex.deletion_mask(1 << v) for v in deleted]
+    labels = [f"dl({sc.label(v)})" for v in deleted]
     action = {}
     for g in GROUP:
-        action[g] = tuple(deleted_masks.index(act(g, m, sc.n)) for m in deleted_masks)
+        perm = sc.vertex_permutation(g)
+        action[g] = tuple(deleted.index(perm[v]) for v in deleted)
     return Covering(sc.complex, tuple(members), tuple(labels), action)
 
 

@@ -139,14 +139,13 @@ def separated(a: int, b: int, relation: str) -> bool:
     return strongly_separated(a, b) if relation == "ss" else weakly_separated(a, b)
 
 
-def is_frozen(s: int, n: int, relation: str = "ws") -> bool:
-    """True iff s is separated from every subset of [n].
+def is_frozen(s: int, n: int) -> bool:
+    """True iff s is separated from every subset of [n], under either relation.
 
     These are exactly the initial segments {1..k} and final segments {k..n},
     the empty set and [n] included, and the characterization is the same for
     both relations (is_frozen_enumerated provides the definition-level check).
     """
-    check_relation(relation)
     check_mask(s, check_ground_size(n))
     if s & (s + 1) == 0:
         return True
@@ -274,8 +273,8 @@ class Subset:
     def weakly_separated_from(self, other: "Subset") -> bool:
         return weakly_separated(self.bits, self._paired(other))
 
-    def is_frozen(self, relation: str = "ws") -> bool:
-        return is_frozen(self.bits, self.n, relation)
+    def is_frozen(self) -> bool:
+        return is_frozen(self.bits, self.n)
 
     def apply(self, g: GroupElement) -> "Subset":
         return Subset(act(g, self.bits, self.n), self.n)

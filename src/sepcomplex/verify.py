@@ -8,7 +8,9 @@ step finds the lexicographically least free face by one depth-first face
 walk (Complex.greedy_collapse). The retraction and equivariance checks read
 one table of retraction images (separation.retraction_images) and sweep
 every face; none samples. The chain condition counts the faces that have a
-violating subface.
+violating subface. The covering checks work on vertex masks: the members of
+the deletion covering and of each star covering are full subcomplexes, so
+every intersection is the parent induced on the AND of their vertex masks.
 
 One table, CHECKS, lists the named checks for both `sepcx verify`
 (run_named_check) and `sepcx reproduce-paper` (full_report). Every row,
@@ -20,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .complexes import Complex, Covering, cross_polytope_boundary, isomorphic, nerve
+from .complexes import Complex, Covering, _mask_to_tuple, cross_polytope_boundary, isomorphic
 from .homology import HomologyGroup, reduced_homology
 from .separation import (
     SeparationComplex,
@@ -338,30 +341,32 @@ def contractibility_certificate(cx: Complex) -> str:
 
 
 def _all_intersections(covering: Covering) -> dict[int, Complex]:
-    """Intersection of every subset of covering members, keyed by index mask."""
-    inters: dict[int, Complex] = {0: covering.parent}
+    """Intersection of every subset of covering members, keyed by index mask.
+
+    Precondition: every member is a full subcomplex of the parent, so an
+    intersection is the parent induced on the AND of the members' vertex
+    masks. Deletion coverings are, and so are vertex-star coverings of a flag
+    complex; these are the only coverings given here.
+    """
+    masks = {0: covering.parent.vertex_mask}
     for smask in range(1, 1 << len(covering.members)):
         low = smask & -smask
-        inters[smask] = inters[smask ^ low].intersection(
-            covering.members[low.bit_length() - 1])
-    return inters
+        masks[smask] = masks[smask ^ low] & covering.members[low.bit_length() - 1].vertex_mask
+    return {smask: covering.parent.induced_mask(m) for smask, m in masks.items()}
 
 
-def covering_checks(sc: SeparationComplex, with_certificates: bool = True,
-                    covering: Covering | None = None,
-                    inters: Mapping[int, Complex] | None = None) -> list[CheckResult]:
-    """The deletion covering: union, nerve, and every index-subset intersection.
-    `covering` is sc's deletion covering and `inters` its `_all_intersections`,
-    each built here when not given."""
+def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
+    """The deletion covering: union, nerve, and every index-subset intersection."""
     scope = f"ws({sc.n})"
-    covering = covering or deletion_covering(sc)
+    covering = deletion_covering(sc)
     out = [
         _row(f"covering-members-are-subcomplexes {scope}", scope, True,
              covering.members_are_subcomplexes()),
         _row(f"covering-unions-to-complex {scope}", scope, True,
              covering.covers_parent()),
     ]
-    nerve_cx = nerve(covering)
+    inters = _all_intersections(covering)
+    nerve_cx = _nerve_of(covering, inters)
     want = len(covering.members)
     full = (1 << want) - 1
     out.append(_row(f"covering-nerve-is-simplex {scope}", scope,
@@ -369,21 +374,12 @@ def covering_checks(sc: SeparationComplex, with_certificates: bool = True,
                     f"simplex on {want} vertices" if nerve_cx.facets == (full,)
                     else f"facets {nerve_cx.facet_tuples()}"))
     star = central_edge_star(sc)
-    inters = inters or _all_intersections(covering)
     total = len(inters)
     nonempty = sum(1 for cx in inters.values() if not cx.is_empty)
-    contain_star = sum(
-        1 for cx in inters.values()
-        if all(cx.has_face_mask(f) for f in star.facets)
-    )
-    trivial = 0
-    worst = []
-    for smask, cx in sorted(inters.items()):
-        groups = reduced_homology(cx)
-        if all(g.is_trivial for g in groups):
-            trivial += 1
-        else:
-            worst.append(format(smask, "b"))
+    contain_star = sum(all(cx.has_face_mask(f) for f in star.facets) for cx in inters.values())
+    worst = [format(smask, "b") for smask, cx in inters.items()
+             if not all(g.is_trivial for g in reduced_homology(cx))]
+    trivial = total - len(worst)
     out.append(_row(f"covering-intersections-nonempty {scope}", scope,
                     f"{total}/{total}", f"{nonempty}/{total}"))
     out.append(_row(f"covering-intersections-contain-central-star {scope}", scope,
@@ -391,18 +387,21 @@ def covering_checks(sc: SeparationComplex, with_certificates: bool = True,
     out.append(_row(f"covering-intersections-homology-trivial {scope}", scope,
                     f"{total}/{total}", f"{trivial}/{total}",
                     witness="; ".join(worst)))
-    if with_certificates:
-        tally = {"cone-point": 0, "collapsed-to-point": 0, "none": 0}
-        for smask, cx in sorted(inters.items()):
-            tally[contractibility_certificate(cx)] += 1
-        computed = (f"cone-point {tally['cone-point']}, "
-                    f"collapsed {tally['collapsed-to-point']}, "
-                    f"uncertified {tally['none']}")
-        out.append(CheckResult(
-            f"covering-intersection-certificates {scope}", scope,
-            "0 uncertified", computed,
-            PASS if tally["none"] == 0 else INCONCLUSIVE))
+    tally = Counter(map(contractibility_certificate, inters.values()))
+    computed = (f"cone-point {tally['cone-point']}, "
+                f"collapsed {tally['collapsed-to-point']}, "
+                f"uncertified {tally['none']}")
+    out.append(CheckResult(
+        f"covering-intersection-certificates {scope}", scope,
+        "0 uncertified", computed,
+        PASS if tally["none"] == 0 else INCONCLUSIVE))
     return out
+
+
+def _nerve_of(covering: Covering, inters: dict[int, Complex]) -> Complex:
+    """The nerve off `_all_intersections`: index sets with a nonempty intersection."""
+    return Complex(covering.labels, (_mask_to_tuple(smask) for smask, cx in inters.items()
+                                     if smask and not cx.is_empty))
 
 
 def star_cover_vertex_indices(sc: SeparationComplex, index_subset: Iterable[int]) -> list[int]:
@@ -413,33 +412,22 @@ def star_cover_vertex_indices(sc: SeparationComplex, index_subset: Iterable[int]
         raise ValueError("star covering applies to intersections with no free pairs")
     full = ground_mask(sc.n)
     ends = (1 << 0) | (1 << (sc.n - 1))
-    cover = [sc.vertex_index(ends), sc.vertex_index(full ^ ends)]
-    for k in range(2, sc.n):
-        if 2 * (k - 2) not in chosen:
-            cover.append(sc.vertex_index(1 << (k - 1)))
-    for k in range(2, sc.n):
-        if 2 * (k - 2) + 1 not in chosen:
-            cover.append(sc.vertex_index(full ^ (1 << (k - 1))))
-    return cover
+    pairs = sc.singleton_pair_indices()
+    return ([sc.vertex_index(ends), sc.vertex_index(full ^ ends)]
+            + [pair[side] for side in (0, 1) for m, pair in enumerate(pairs)
+               if 2 * m + side not in chosen])
 
 
-def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[int],
-                                covering: Covering | None = None,
-                                inters: Mapping[int, Complex] | None = None) -> CheckResult:
+def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[int]) -> CheckResult:
     """Inside one no-free-pair intersection, every nonempty intersection of
-    the star covering must expose a cone point. `covering` is sc's deletion
-    covering, built here when not given; the intersection is read from
-    `inters`, the covering's `_all_intersections`, when given."""
+    the star covering must expose a cone point. The intersection deletes the
+    vertices the subset indexes in deletion_covering order: index 2m is the
+    singleton of sc.singleton_pair_indices()[m], 2m + 1 its complement."""
     chosen = sorted(set(index_subset))
     scope = f"ws({sc.n}) sigma={{{','.join(map(str, chosen))}}}"
-    if inters is not None:
-        cx = inters[sum(1 << i for i in chosen)]
-    else:
-        covering = covering or deletion_covering(sc)
-        cx = sc.complex
-        for i in chosen:
-            cx = cx.intersection(covering.members[i])
-    cover_vertices = star_cover_vertex_indices(sc, chosen)
+    cover_vertices = star_cover_vertex_indices(sc, chosen)  # validates the indices
+    pairs = sc.singleton_pair_indices()
+    cx = sc.complex.deletion_mask(sum(1 << pairs[i // 2][i % 2] for i in chosen))
     members = [cx.star_mask(1 << v) for v in cover_vertices]
     labels = [f"st({cx.labels[v]})" for v in cover_vertices]
     star_covering = Covering(cx, tuple(members), tuple(labels))
@@ -464,30 +452,15 @@ def no_free_pair_subsets(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def star_cover_checks(sc: SeparationComplex, covering: Covering | None = None,
-                      inters: Mapping[int, Complex] | None = None) -> list[CheckResult]:
-    """Every no-free-pair intersection passes star_cover_cone_point_check.
-    `covering` is sc's deletion covering, built here when not given, and
-    `inters` its `_all_intersections`, passed on when given."""
+def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
+    """Every no-free-pair intersection passes star_cover_cone_point_check."""
     scope = f"ws({sc.n})"
-    covering = covering or deletion_covering(sc)
-    rows = [star_cover_cone_point_check(sc, s, covering, inters)
-            for s in no_free_pair_subsets(sc.n)]
+    rows = [star_cover_cone_point_check(sc, s) for s in no_free_pair_subsets(sc.n)]
     bad = [r for r in rows if r.status != PASS]
-    summary = _row(f"star-cover-cone-points-all {scope}", scope,
-                   f"{len(rows)} intersections clean",
-                   f"{len(rows) - len(bad)} intersections clean",
-                   witness="; ".join(r.scope for r in bad))
-    return [summary]
-
-
-def _covering_stage(sc: SeparationComplex) -> list[CheckResult]:
-    """covering_checks then star_cover_checks, sharing one deletion covering
-    and one table of its intersections."""
-    covering = deletion_covering(sc)
-    inters = _all_intersections(covering)
-    return (covering_checks(sc, covering=covering, inters=inters)
-            + star_cover_checks(sc, covering, inters))
+    return [_row(f"star-cover-cone-points-all {scope}", scope,
+                 f"{len(rows)} intersections clean",
+                 f"{len(rows) - len(bad)} intersections clean",
+                 witness="; ".join(r.scope for r in bad))]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +592,7 @@ CHECKS = (
           lambda get, n, rel: equivariance_checks(get(n, rel)),
           "equivariance {rel}({n})", _built_sizes),
     Check("covering", ("ws",), _PAPER_SIZES,
-          lambda get, n, rel: _covering_stage(get(n, rel)),
+          lambda get, n, rel: covering_checks(sc := get(n, rel)) + star_cover_checks(sc),
           "covering checks {rel}({n})", _built_sizes),
     Check("cone-points", ("ws",), _PAPER_SIZES,
           lambda get, n, rel: star_cover_checks(get(n, rel))),

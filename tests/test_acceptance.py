@@ -183,7 +183,7 @@ def test_criterion_12_deletion_covering(ws4, ws5):
         ok = ok and covering.covers_parent()
         nv = nerve(covering)
         ok = ok and nv.facets == ((1 << (2 * (sc.n - 2))) - 1,)
-        rows = covering_checks(sc, with_certificates=False)
+        rows = covering_checks(sc)
         ok = ok and all(r.status == "PASS" for r in rows)
         star_rows = star_cover_checks(sc)
         ok = ok and all(r.status == "PASS" for r in star_rows)

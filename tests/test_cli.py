@@ -123,6 +123,7 @@ def test_missing_input(capsys):
      "'{}' is a frozen subset of [4]"),
     ({"n": 4, "relation": "zz", "vertices": ["x"], "facets": [[0]]}, "relation must be"),
     ({"n": 4, "vertices": ["23", "32"], "facets": [[0, 1]]}, "name the same subset"),
+    ({"vertices": ["a", "b", "c"], "facets": [[True, False], [2]]}, "True is not an integer"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
@@ -137,6 +138,15 @@ def test_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "build", "--n", "9", "--relation", "ss")
     assert code == 3
     assert "cap" in err
+
+
+def test_malformed_cap_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SEPCX_CAP", "abc")
+    for argv in (("build", "--n", "4", "--relation", "ss"), ("verify", "figures", "--n", "3")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "SEPCX_CAP" in err
 
 
 def test_verify_cross_polytope_respects_the_cap(capsys):
@@ -235,3 +245,23 @@ def test_reproduce_paper_n4_is_byte_identical(capsys):
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
         "4d9c411709a77d7736733e000c31fbdd42796981befafd443805777fc33931cd")
     assert err.splitlines() == [f"... {stage}" for stage in REPORT_N4_STAGES]
+
+
+# progress lines of `reproduce-paper --n 5`, in order
+REPORT_N5_STAGES = [
+    "figure counts", "contractibility shadow ws(4)", "contractibility shadow ws(5)",
+    "sphere shadow ss(4)", "sphere shadow ss(5)", "cross polytope n=4",
+    "cross polytope n=5", "cross polytope n=6", "cross polytope n=7",
+    "retraction checks ss(4)", "retraction checks ss(5)", "equivariance ss(4)",
+    "equivariance ws(4)", "equivariance ss(5)", "equivariance ws(5)",
+    "covering checks ws(4)", "covering checks ws(5)", "boundary findings n=5",
+]
+
+
+def test_reproduce_paper_n5_is_byte_identical(capsys):
+    code, stdout, err = run_cli(capsys, "reproduce-paper", "--n", "5",
+                                "--format", "json", "--progress")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
+        "c3847b0398fcad0ee7a2fa1a1eead830dcd8410a09a81c01deadf5f823c56430")
+    assert err.splitlines() == [f"... {stage}" for stage in REPORT_N5_STAGES]

@@ -124,9 +124,8 @@ def test_separated_dispatch():
 # --- frozen sets -------------------------------------------------------------
 
 def test_frozen_examples():
-    assert is_frozen(mask(1, 2, 3, n=5), 5, "ws")
-    assert is_frozen(mask(1, 2, 3, n=5), 5, "ss")
-    assert not is_frozen(mask(1, 4, n=4), 4, "ws")
+    assert is_frozen(mask(1, 2, 3, n=5), 5)
+    assert not is_frozen(mask(1, 4, n=4), 4)
     assert is_frozen(0, 4)
     assert is_frozen(ground_mask(4), 4)
 

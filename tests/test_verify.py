@@ -4,13 +4,16 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_complexes import random_clique_complexes
 
+from sepcomplex.complexes import Covering, nerve
 from sepcomplex.separation import CapExceeded, deletion_covering, retraction_images
 from sepcomplex.verify import (
     CHECK_NAMES,
     CHECKS,
     CheckResult,
     _all_intersections,
+    _nerve_of,
     antipodal_checks,
     any_failed,
     boundary_findings,
@@ -174,25 +177,67 @@ def test_star_cover(ws4):
     assert single.status == "PASS"
 
 
-def test_star_cover_reads_the_covering_intersection_table(ws4, ws5):
+@st.composite
+def full_subcomplex_coverings(draw):
+    """A random clique complex covered by up to 5 deletions of vertex sets, or
+    by the stars of up to 5 of its vertices: full subcomplexes either way."""
+    cx = draw(random_clique_complexes())
+    if draw(st.booleans()) or cx.is_empty:
+        masks = draw(st.lists(st.integers(0, (1 << len(cx.labels)) - 1), max_size=5))
+        members = [cx.deletion_mask(m) for m in masks]
+    else:
+        vertices = draw(st.lists(st.sampled_from(cx.vertices()), max_size=5))
+        members = [cx.star_mask(1 << v) for v in vertices]
+    return Covering(cx, tuple(members), tuple(f"m{i}" for i in range(len(members))))
+
+
+def assert_table_matches_the_fold(covering):
+    """Every `_all_intersections` entry is the fold of Complex.intersection,
+    and the nerve read off the table is nerve(covering)."""
+    inters = _all_intersections(covering)
+    assert list(inters) == list(range(1 << len(covering.members)))
+    for smask, inter in inters.items():
+        fold = covering.parent
+        for i, member in enumerate(covering.members):
+            if smask >> i & 1:
+                fold = fold.intersection(member)
+        assert (inter.labels, inter.facets) == (fold.labels, fold.facets)
+    table, reference = _nerve_of(covering, inters), nerve(covering)
+    assert (table.labels, table.facets) == (reference.labels, reference.facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_subcomplex_coverings())
+def test_intersection_table_matches_the_facet_fold(covering):
+    assert_table_matches_the_fold(covering)
+
+
+def test_intersection_table_on_the_paper_coverings(ws4, ws5):
     for sc in (ws4, ws5):
         covering = deletion_covering(sc)
+        assert_table_matches_the_fold(covering)
+        pairs = sc.singleton_pair_indices()
         inters = _all_intersections(covering)
         for chosen in no_free_pair_subsets(sc.n):
-            fold = sc.complex
-            for i in chosen:
-                fold = fold.intersection(covering.members[i])
-            smask = sum(1 << i for i in chosen)
-            assert (inters[smask].labels, inters[smask].facets) == (fold.labels, fold.facets)
-            if sc is ws4:
-                # a table holding only this intersection: any other key raises
-                assert (star_cover_cone_point_check(sc, chosen, inters={smask: fold})
-                        == star_cover_cone_point_check(sc, chosen))
+            # the intersection star_cover_cone_point_check deletes its way to
+            deleted = sum(1 << pairs[i // 2][i % 2] for i in chosen)
+            cx = inters[sum(1 << i for i in chosen)]
+            assert cx.facets == sc.complex.deletion_mask(deleted).facets
+            stars = [cx.star_mask(1 << v) for v in star_cover_vertex_indices(sc, chosen)]
+            star_covering = Covering(cx, tuple(stars), tuple(f"s{i}" for i in range(len(stars))))
+            assert_table_matches_the_fold(star_covering)
+            nonempty = sum(1 for tmask, inter in _all_intersections(star_covering).items()
+                           if tmask and not inter.is_empty)
+            row = star_cover_cone_point_check(sc, chosen)
+            assert (row.status, row.witness) == ("PASS", f"{nonempty} nonempty intersections")
 
 
 def test_star_cover_rejects_free_pairs(ws4):
     with pytest.raises(ValueError):
         star_cover_vertex_indices(ws4, (0,))
+    for bad in ((0,), (-1, 0, 2), (0, 2, 4)):
+        with pytest.raises(ValueError):
+            star_cover_cone_point_check(ws4, bad)
 
 
 def test_contractibility_certificate(ws4):
@@ -255,8 +300,8 @@ def test_report_formatting():
 
 
 def test_results_json_deterministic(ws4):
-    rows = covering_checks(ws4, with_certificates=False)
-    assert results_to_json(rows) == results_to_json(covering_checks(ws4, with_certificates=False))
+    rows = covering_checks(ws4)
+    assert results_to_json(rows) == results_to_json(covering_checks(ws4))
 
 
 def test_full_report_small():
