@@ -140,16 +140,7 @@ def _cmd_local(args: argparse.Namespace) -> int:
 
 
 def _cmd_boundary(args: argparse.Namespace) -> int:
-    if args.input:
-        cx, n, relation = _load_complex(args.input)
-    else:
-        if args.n is None or args.relation is None:
-            raise ValueError("provide an input file or both --n and --relation")
-        if args.n >= 6 and not args.allow_heavy:
-            raise CapExceeded(
-                "boundary computations above n = 5 need --allow-heavy")
-        sc = build(args.n, args.relation, args.cap)
-        cx, n, relation = sc.complex, sc.n, sc.relation
+    cx, n, relation = _obtain_complex(args)
     _write(_complex_json(cx.boundary(), n, relation), args.out)
     return EXIT_OK
 
@@ -165,8 +156,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     progress = None
     if args.progress:
         progress = lambda msg: print(f"... {msg}", file=sys.stderr)
-    results = full_report(args.n, allow_heavy=args.allow_heavy,
-                          force_heavy=args.force_heavy, progress=progress)
+    results = full_report(args.n, progress=progress)
     out = results_to_json(results) if args.format == "json" else format_results(results) + "\n"
     _write(out, args.out)
     return EXIT_FAILED_CHECKS if any_failed(results) else EXIT_OK
@@ -218,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary", help="codimension-1 boundary subcomplex")
     add_common(p)
-    p.add_argument("--allow-heavy", action="store_true",
-                   help="permit boundary computation above n = 5")
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("verify", help="run one named verification check")
@@ -233,11 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-paper",
                        help="run the complete verification report")
-    p.add_argument("--n", type=int, default=5, help="largest ground size (default 5)")
-    p.add_argument("--allow-heavy", action="store_true",
-                   help="run the strong-separation checks at n = 6")
-    p.add_argument("--force-heavy", action="store_true",
-                   help="additionally run the weak-separation homology at n = 6")
+    p.add_argument("--n", type=int, default=5,
+                   help="largest ground size, 4 to 6 (default 5)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.add_argument("--progress", action="store_true",

@@ -86,14 +86,6 @@ class SeparationComplex:
     def antipodal_vertex_indices(self) -> tuple[int, ...]:
         return tuple(sorted(i for pair in self.singleton_pair_indices() for i in pair))
 
-    def extends_to_face(self, face_mask: int, vertex: int) -> bool:
-        """True iff face | {vertex} is still a face (adjacency test)."""
-        bit = 1 << vertex
-        if face_mask & bit:
-            return True
-        graph = self.complex.graph
-        return face_mask & ~graph[vertex] == 0
-
 
 def build(n: int, relation: str, cap: int | None = None) -> SeparationComplex:
     """Clique complex of the separation graph on non-frozen subsets of [n].
@@ -173,11 +165,15 @@ def _require_retraction_domain(sc: SeparationComplex) -> None:
 
 
 def retraction_image_mask(sc: SeparationComplex, face_mask: int) -> int:
-    """Vertex-index mask of the retraction image; may be empty (callers decide)."""
+    """Vertex-index mask of the retraction image; may be empty (callers decide).
+
+    Pair vertex v is in it iff face + v is a face, i.e. the face lies in the
+    closed neighbourhood of v, and face + partner(v) is not."""
+    g = sc.complex.graph
     out = 0
     for i, j in sc.singleton_pair_indices():
-        extends_i = sc.extends_to_face(face_mask, i)
-        if extends_i != sc.extends_to_face(face_mask, j):
+        extends_i = face_mask & ~(g[i] | 1 << i) == 0
+        if extends_i != (face_mask & ~(g[j] | 1 << j) == 0):
             out |= 1 << (i if extends_i else j)
     return out
 

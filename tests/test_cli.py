@@ -1,11 +1,14 @@
 """The command-line surface: verbs, formats, exit codes, round trips."""
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from sepcomplex import build
-from sepcomplex.cli import main
+from sepcomplex.cli import build_parser, main
 from sepcomplex.complexes import Complex
 
 
@@ -81,9 +84,9 @@ def test_boundary_verb_and_gate(capsys):
     assert code == 0
     bd = Complex.from_dict(json.loads(stdout))
     assert bd.dimension() == 4
-    code, _, err = run_cli(capsys, "boundary", "--n", "6", "--relation", "ss")
-    assert code == 3
-    assert "allow-heavy" in err
+    code, stdout, _ = run_cli(capsys, "boundary", "--n", "6", "--relation", "ss")
+    assert code == 0
+    assert Complex.from_dict(json.loads(stdout)).dimension() == 8
 
 
 def test_bad_face_label(capsys):
@@ -197,6 +200,34 @@ def test_usage_error_exits_2(capsys):
         main(["verify", "no-such-check", "--n", "4"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_reproduce_paper_takes_n_4_to_6_and_no_size_flags(capsys):
+    code, stdout, err = run_cli(capsys, "reproduce-paper", "--n", "7")
+    assert code == 2
+    assert stdout == ""
+    assert "4 <= n <= 6" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-paper", "--n", "6", "--allow-heavy"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_readme_names_only_existing_verbs_and_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    blocks = readme.split("```")
+    commands = [line for block in blocks[1::2] for line in block.splitlines()
+                if line.startswith("sepcx ")]
+    assert commands
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])  # SystemExit if stale
+    verbs = parser._subparsers._group_actions[0].choices.values()
+    options = {o for p in verbs for a in p._actions for o in a.option_strings}
+    spans = [span for block in blocks[0::2] for span in re.findall(r"`([^`]+)`", block)
+             if not span.startswith("pip ")]
+    named = {o for span in spans for o in re.findall(r"--[a-z][a-z-]*", span)}
+    assert named and named <= options, named - options
 
 
 def test_verify_verb(capsys):

@@ -93,8 +93,12 @@ def assert_boundary_squares_to_zero(cx):
 def test_clique_walker_matches_brute_force(graph):
     n, adjacency = graph
     cx = clique_complex([str(i) for i in range(n)], adjacency)
-    assert_walker_matches(cx, brute_clique_levels(n, adjacency))
+    levels = brute_clique_levels(n, adjacency)
+    assert_walker_matches(cx, levels)
     assert_boundary_squares_to_zero(cx)
+    cliques = [sum(1 << v for v in c) for level in levels for c in level]
+    assert cx.facets == tuple(sorted(c for c in cliques
+                                     if not any(c != d and c & ~d == 0 for d in cliques)))
 
 
 @settings(max_examples=150, deadline=None)

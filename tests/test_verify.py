@@ -1,4 +1,4 @@
-"""The verification layer: check functions, report formatting, gating."""
+"""The verification layer: check functions, report formatting, the full report."""
 import json
 
 import pytest
@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_complexes import random_clique_complexes
 
+from sepcomplex import verify
 from sepcomplex.complexes import Covering, nerve
-from sepcomplex.separation import CapExceeded, deletion_covering, retraction_images
+from sepcomplex.homology import HomologyGroup
+from sepcomplex.separation import CapExceeded, build, deletion_covering, retraction_images
 from sepcomplex.verify import (
     CHECK_NAMES,
     CHECKS,
@@ -140,8 +142,6 @@ def test_retraction_sweeps_reject_ws(ws4):
 
 
 def test_retraction_sweeps_guard_small_ground_sets():
-    from sepcomplex import build
-
     with pytest.raises(ValueError):
         image_nonempty_violations(build(3, "ss"))
     with pytest.raises(ValueError):
@@ -313,20 +313,33 @@ def test_full_report_small():
 
 
 def test_full_report_rejects_tiny_nmax():
-    with pytest.raises(ValueError):
-        full_report(3)
+    # no row runs above ground size 6, so the report refuses nmax 7 as well
+    for nmax in (3, 7):
+        with pytest.raises(ValueError, match="4 <= n <= 6"):
+            full_report(nmax)
 
 
-def test_heavy_gating_plan():
-    # gating rows appear without the flags; nothing heavy actually runs
-    results = full_report(6, allow_heavy=False, force_heavy=False)
-    skipped = {r.check for r in results if r.status == "SKIPPED"}
-    assert skipped == {"purity ss(6)", "sphere-homology ss(6)", "homology-trivial ws(6)"}
-    assert not any_failed(results)
+def test_full_report_six_ends_with_the_n6_rows(monkeypatch, ss6):
+    # The two n = 6 homology calls are stubbed with the known groups:
+    # test_acceptance pins the sphere of ss(6), and the homology of ws(6)
+    # alone takes about 15 s.
+    real = verify.reduced_homology
+    six = {ss6.complex: {3: HomologyGroup(1)}, build(6, "ws").complex: {}}
+
+    def stub(cx):
+        if cx not in six:
+            return real(cx)
+        return [six[cx].get(d, HomologyGroup(0)) for d in range(cx.dimension() + 1)]
+
+    monkeypatch.setattr(verify, "reduced_homology", stub)
+    results = full_report(6)
+    assert [r.check for r in results[-3:]] == [
+        "pure-of-dimension ss(6)", "sphere-homology ss(6)", "homology-trivial ws(6)"]
+    assert all(r.status == "PASS" for r in results)
 
 
-def test_boundary_findings_rows(ss5, ws5):
-    results = boundary_findings(ss5, ws5)
+def test_boundary_findings_rows():
+    results = boundary_findings()
     assert not any_failed(results)
     names = {r.check for r in results}
     assert "H~3(boundary ss5)" in names
