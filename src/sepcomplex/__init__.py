@@ -6,11 +6,9 @@ from .complexes import (
     Complex,
     Covering,
     clique_complex,
-    clique_complex_of_graph,
     cross_polytope_boundary,
     isomorphic,
     nerve,
-    star_intersection,
 )
 from .homology import (
     HomologyGroup,
@@ -35,7 +33,6 @@ from .subsets import (
     GROUP,
     GroupElement,
     SeparationGraph,
-    Subset,
     act,
     is_frozen,
     is_frozen_enumerated,

@@ -44,7 +44,10 @@ def _write(text: str, path: str | None) -> None:
 
 def _load_complex(path: str) -> tuple[Complex, int | None, str | None]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("complex JSON is nested too deeply") from None
     cx = Complex.from_dict(data)
     n, relation = data.get("n"), data.get("relation")
     if relation is not None:

@@ -226,9 +226,6 @@ class Complex:
             self._fvec = tuple(len(level) for level in self.face_levels())
         return self._fvec
 
-    def f_vector(self) -> tuple[int, ...]:
-        return self.face_counts()
-
     def euler_characteristic(self) -> int:
         return sum(c if d % 2 == 0 else -c for d, c in enumerate(self.face_counts()))
 
@@ -465,14 +462,6 @@ def _bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def clique_complex_of_graph(graph) -> Complex:
-    """Clique complex of a SeparationGraph-like object (vertices + adjacency)."""
-    from .subsets import subset_str  # local import to keep this module generic
-
-    labels = [subset_str(v, graph.n) for v in graph.vertices]
-    return clique_complex(labels, graph.adjacency)
-
-
 def cross_polytope_boundary(m: int) -> Complex:
     """Boundary complex of the m-dimensional cross polytope.
 
@@ -490,15 +479,6 @@ def cross_polytope_boundary(m: int) -> Complex:
         partner = v ^ 1
         adjacency.append(full & ~(1 << v) & ~(1 << partner))
     return clique_complex(labels, adjacency)
-
-
-def star_intersection(x: Complex, sigma: Iterable[int], tau: Iterable[int]) -> Complex:
-    """st(sigma) meet st(tau); in a clique complex this equals st(sigma | tau)."""
-    sm = _mask_of(sigma, len(x.labels))
-    tm = _mask_of(tau, len(x.labels))
-    if not x.has_face_mask(sm | tm):
-        raise ValueError("star_intersection requires the union to be a face")
-    return x.star_mask(sm).intersection(x.star_mask(tm))
 
 
 # ---------------------------------------------------------------------------

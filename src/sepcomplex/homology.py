@@ -20,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .complexes import Complex
 
@@ -44,42 +44,9 @@ class SparseIntMatrix:
                 if v:
                     self.entries[(i, j)] = int(v)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SparseIntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = int(v)
-        return cls(nrows, ncols, entries)
-
-    def to_rows(self) -> list[list[int]]:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def multiply(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions differ")
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        acc: dict[tuple[int, int], int] = {}
-        for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + v * w
-        return SparseIntMatrix(self.nrows, other.ncols,
-                               {k: v for k, v in acc.items() if v})
 
     def __repr__(self) -> str:
         return f"SparseIntMatrix({self.nrows} x {self.ncols}, {self.nnz} nonzero)"

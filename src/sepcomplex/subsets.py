@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_GROUND_SIZE = 30  # masks must fit a machine word with headroom
 RELATIONS = ("ws", "ss")
@@ -134,11 +134,6 @@ def weakly_separated(a: int, b: int) -> bool:
     return (ca <= cb and surrounds(d1, d2)) or (cb <= ca and surrounds(d2, d1))
 
 
-def separated(a: int, b: int, relation: str) -> bool:
-    check_relation(relation)
-    return strongly_separated(a, b) if relation == "ss" else weakly_separated(a, b)
-
-
 def is_frozen(s: int, n: int) -> bool:
     """True iff s is separated from every subset of [n], under either relation.
 
@@ -182,29 +177,9 @@ class GroupElement(enum.Enum):
     REVERSE = "reverse"
     COMPLEMENT_REVERSE = "complement-reverse"
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        c = (self in (GroupElement.COMPLEMENT, GroupElement.COMPLEMENT_REVERSE)) ^ (
-            other in (GroupElement.COMPLEMENT, GroupElement.COMPLEMENT_REVERSE)
-        )
-        r = (self in (GroupElement.REVERSE, GroupElement.COMPLEMENT_REVERSE)) ^ (
-            other in (GroupElement.REVERSE, GroupElement.COMPLEMENT_REVERSE)
-        )
-        return _FROM_PARTS[(c, r)]
-
-    def inverse(self) -> "GroupElement":
-        # every element is an involution
-        return self
-
     def __str__(self) -> str:
         return self.value
 
-
-_FROM_PARTS = {
-    (False, False): GroupElement.IDENTITY,
-    (True, False): GroupElement.COMPLEMENT,
-    (False, True): GroupElement.REVERSE,
-    (True, True): GroupElement.COMPLEMENT_REVERSE,
-}
 
 GROUP = (
     GroupElement.IDENTITY,
@@ -235,58 +210,6 @@ def act(g: GroupElement, s: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ground-set value type for API edges (validation + rendering)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Subset:
-    """A subset of [n] carrying its ground size, for validated pairwise use."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        check_mask(self.bits, check_ground_size(self.n))
-
-    @classmethod
-    def of(cls, elements: Iterable[int], n: int) -> "Subset":
-        return cls(mask_from_elements(elements, n), n)
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "Subset":
-        return cls(parse_subset(text, n), n)
-
-    def _paired(self, other: "Subset") -> int:
-        if self.n != other.n:
-            raise ValueError(f"mismatched ground sizes {self.n} and {other.n}")
-        return other.bits
-
-    def precedes(self, other: "Subset") -> bool:
-        return precedes(self.bits, self._paired(other))
-
-    def surrounds(self, other: "Subset") -> bool:
-        return surrounds(self.bits, self._paired(other))
-
-    def strongly_separated_from(self, other: "Subset") -> bool:
-        return strongly_separated(self.bits, self._paired(other))
-
-    def weakly_separated_from(self, other: "Subset") -> bool:
-        return weakly_separated(self.bits, self._paired(other))
-
-    def is_frozen(self) -> bool:
-        return is_frozen(self.bits, self.n)
-
-    def apply(self, g: GroupElement) -> "Subset":
-        return Subset(act(g, self.bits, self.n), self.n)
-
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.bits)
-
-    def __str__(self) -> str:
-        return subset_str(self.bits, self.n)
-
-
-# ---------------------------------------------------------------------------
 # the separation graph
 # ---------------------------------------------------------------------------
 
@@ -304,23 +227,8 @@ class SeparationGraph:
     adjacency: tuple[int, ...]
 
     @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adjacency) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i, a in enumerate(self.adjacency):
-            rest = a >> (i + 1) << (i + 1)
-            while rest:
-                low = rest & -rest
-                yield (i, low.bit_length() - 1)
-                rest ^= low
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i] >> j & 1)
 
 
 def separation_graph(n: int, relation: str) -> SeparationGraph:

@@ -275,25 +275,6 @@ def retraction_checks(sc: SeparationComplex) -> list[CheckResult]:
     ]
 
 
-def star_intersection_violations(sc: SeparationComplex) -> int:
-    """Exhaustive sweep of the star identity: over all face pairs whose union
-    is a face, st(a) meet st(b) must equal st(a | b)."""
-    cx = sc.complex
-    faces = list(cx.iter_face_masks())
-    face_set = set(faces)
-    stars = {f: cx.star_mask(f) for f in faces}
-    bad = 0
-    for a in faces:
-        star_a = stars[a]
-        for b in faces:
-            union = a | b
-            if union not in face_set:
-                continue
-            if star_a.intersection(stars[b]) != stars[union]:
-                bad += 1
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # equivariance
 # ---------------------------------------------------------------------------

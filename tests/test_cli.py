@@ -127,10 +127,11 @@ def test_missing_input(capsys):
     ({"n": 4, "relation": "zz", "vertices": ["x"], "facets": [[0]]}, "relation must be"),
     ({"n": 4, "vertices": ["23", "32"], "facets": [[0, 1]]}, "name the same subset"),
     ({"vertices": ["a", "b", "c"], "facets": [[True, False], [2]]}, "True is not an integer"),
+    pytest.param("[" * 100000 + "]" * 100000, "nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, _, err = run_cli(capsys, "fvector", str(path))
     assert code == 2
     assert err.startswith("error:")
@@ -213,8 +214,11 @@ def test_reproduce_paper_takes_n_4_to_6_and_no_size_flags(capsys):
     capsys.readouterr()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_names_only_existing_verbs_and_options():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     parser = build_parser()
     blocks = readme.split("```")
     commands = [line for block in blocks[1::2] for line in block.splitlines()
@@ -228,6 +232,17 @@ def test_readme_names_only_existing_verbs_and_options():
              if not span.startswith("pip ")]
     named = {o for span in spans for o in re.findall(r"--[a-z][a-z-]*", span)}
     assert named and named <= options, named - options
+
+
+def test_readme_python_example_prints_what_its_comments_say(capsys):
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    [code] = [b.removeprefix("python\n") for b in blocks if b.startswith("python\n")]
+    exec(compile(code, str(README), "exec"), {})
+    first, *groups = capsys.readouterr().out.splitlines()
+    comment = re.search(r"face_counts\(\)\)\s+# (.*)$", code, re.M).group(1)
+    assert first == comment == "(22, 140, 370, 460, 272, 62)"
+    assert "# one Z in dimension 2" in code
+    assert [g for g in groups if not g.endswith(" = 0")] == ["H~2 = Z"]
 
 
 def test_verify_verb(capsys):

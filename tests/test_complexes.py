@@ -1,4 +1,5 @@
 """The simplicial complex engine against definition-level face oracles."""
+import json
 from itertools import combinations
 
 import pytest
@@ -11,13 +12,11 @@ from sepcomplex.complexes import (
     Covering,
     _mask_to_tuple,
     clique_complex,
-    clique_complex_of_graph,
     cross_polytope_boundary,
     isomorphic,
     nerve,
-    star_intersection,
 )
-from sepcomplex.subsets import separation_graph
+from sepcomplex.subsets import separation_graph, subset_str
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
 TRIANGLE = Complex(list("abc"), [(0, 1, 2)])
@@ -74,7 +73,8 @@ def test_clique_complex_complete_graph():
 
 
 def test_clique_complex_of_separation_graph():
-    cx = clique_complex_of_graph(separation_graph(4, "ss"))
+    g = separation_graph(4, "ss")
+    cx = clique_complex([subset_str(v, g.n) for v in g.vertices], g.adjacency)
     assert cx.face_counts() == (8, 16, 8)
 
 
@@ -183,31 +183,27 @@ def test_induced(ss4):
     assert isomorphic(square, SQUARE) is not None
 
 
-def test_star_intersection_identity(ws4):
-    cx = ws4.complex
+def star_intersection_violations(sc):
+    """Exhaustive sweep of the star identity: over all face pairs whose union
+    is a face, st(a) meet st(b) must equal st(a | b)."""
+    cx = sc.complex
     faces = list(cx.iter_face_masks())
-    face_set_masks = set(faces)
+    face_set = set(faces)
+    stars = {f: cx.star_mask(f) for f in faces}
+    bad = 0
     for a in faces:
-        sa = tuple(i for i in range(len(cx.labels)) if a >> i & 1)
-        assert star_intersection(cx, sa, sa) == cx.star(sa)
+        star_a = stars[a]
         for b in faces:
-            if a | b not in face_set_masks:
+            union = a | b
+            if union not in face_set:
                 continue
-            sb = tuple(i for i in range(len(cx.labels)) if b >> i & 1)
-            su = tuple(i for i in range(len(cx.labels)) if (a | b) >> i & 1)
-            assert star_intersection(cx, sa, sb) == cx.star(su)
+            if star_a.intersection(stars[b]) != stars[union]:
+                bad += 1
+    return bad
 
 
-def test_star_intersection_disjoint_edges_of_k4():
-    cx = complete_graph_complex(4)
-    result = star_intersection(cx, (0, 1), (2, 3))
-    assert result == cx.star((0, 1, 2, 3))
-
-
-def test_star_intersection_requires_face_union():
-    cx = four_cycle_clique()
-    with pytest.raises(ValueError):
-        star_intersection(cx, (0,), (2,))  # diagonal of the square
+def test_star_intersection_identity(ws4):
+    assert star_intersection_violations(ws4) == 0
 
 
 # --- cone points -------------------------------------------------------------------
@@ -376,6 +372,23 @@ def test_greedy_collapse_matches_subset_scan(cx):
     assert cx.greedy_collapse() == subset_scan_collapse(cx)
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_clique_complexes(), st.data())
+def test_star_link_and_deletion_identities(cx, data):
+    """st(a) meet st(b) = st(a | b) through the facet-level meet whenever
+    a | b is a face, lk(a) = st(a) meet dl(a), and deleting a vertex set
+    leaves the subcomplex induced on the other vertices."""
+    m = data.draw(st.integers(0, (1 << len(cx.labels)) - 1), label="vertex set")
+    assert cx.deletion_mask(m) == cx.induced_mask(~m)
+    faces = list(cx.iter_face_masks())
+    if not faces:
+        return
+    a = data.draw(st.sampled_from(faces), label="a")
+    b = data.draw(st.sampled_from([f for f in faces if cx.has_face_mask(a | f)]), label="b")
+    assert cx.star_mask(a).intersection(cx.star_mask(b)) == cx.star_mask(a | b)
+    assert cx.link_mask(a) == cx.star_mask(a).intersection(cx.deletion_mask(a))
+
+
 def test_greedy_collapse_paper_values(ws4, ws5):
     assert ws4.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 12)
     assert ws5.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 433)
@@ -445,3 +458,11 @@ def test_json_round_trip(ss4):
     assert again.facets == ss4.complex.facets
     assert again.labels == ss4.complex.labels
     assert data["n"] == 4 and data["relation"] == "ss"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_clique_complexes(), random_facet_complexes()))
+def test_json_round_trip_on_random_complexes(cx):
+    again = Complex.from_dict(json.loads(json.dumps(cx.to_dict())))
+    assert again == cx
+    assert again.face_counts() == cx.face_counts()

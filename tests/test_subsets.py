@@ -7,7 +7,6 @@ from sepcomplex.subsets import (
     GROUP,
     GroundSizeError,
     GroupElement,
-    Subset,
     act,
     elements_of,
     ground_mask,
@@ -17,7 +16,6 @@ from sepcomplex.subsets import (
     nonfrozen_subsets,
     parse_subset,
     precedes,
-    separated,
     separation_graph,
     strongly_separated,
     subset_str,
@@ -115,10 +113,14 @@ def test_nested_pairs_separated_both_ways():
 
 
 def test_separated_dispatch():
-    assert separated(mask(2, 3), mask(1, 4), "ws")
-    assert not separated(mask(2, 3), mask(1, 4), "ss")
+    # 23 and 14 are weakly but not strongly separated, so only the ws graph
+    # joins them
+    for relation, joined in (("ws", True), ("ss", False)):
+        g = separation_graph(4, relation)
+        i, j = g.vertices.index(mask(2, 3)), g.vertices.index(mask(1, 4))
+        assert bool(g.adjacency[i] >> j & 1) is joined
     with pytest.raises(ValueError):
-        separated(1, 2, "nope")
+        separation_graph(4, "nope")
 
 
 # --- frozen sets -------------------------------------------------------------
@@ -157,24 +159,31 @@ def test_act_examples():
     assert act(GroupElement.IDENTITY, s, 6) == s
 
 
+# the Klein four-group: KLEIN[g, h] is the element acting as g after h
+E, C, R, CR = GROUP
+KLEIN = {
+    (E, E): E, (E, C): C, (E, R): R, (E, CR): CR,
+    (C, E): C, (C, C): E, (C, R): CR, (C, CR): R,
+    (R, E): R, (R, C): CR, (R, R): E, (R, CR): C,
+    (CR, E): CR, (CR, C): R, (CR, R): C, (CR, CR): E,
+}
+
+
 def test_group_composition_table():
-    e, c, r, cr = GROUP
-    assert c.compose(c) is e
-    assert r.compose(r) is e
-    assert c.compose(r) is cr
-    assert r.compose(c) is cr
-    assert cr.compose(c) is r
+    # four distinct maps on subsets, each an involution
+    n = 5
+    assert len({tuple(act(g, s, n) for s in range(1 << n)) for g in GROUP}) == 4
     for g in GROUP:
-        assert g.compose(e) is g
-        assert g.inverse() is g
+        assert KLEIN[g, g] is E
+        for s in range(1 << n):
+            assert act(g, act(g, s, n), n) == s
 
 
 def test_action_respects_composition():
     n = 5
-    for g in GROUP:
-        for h in GROUP:
-            for s in range(1 << n):
-                assert act(g.compose(h), s, n) == act(g, act(h, s, n), n)
+    for (g, h), k in KLEIN.items():
+        for s in range(1 << n):
+            assert act(g, act(h, s, n), n) == act(k, s, n)
 
 
 def test_predicates_equivariant_exhaustively():
@@ -188,7 +197,7 @@ def test_predicates_equivariant_exhaustively():
                     assert weakly_separated(a, b) == weakly_separated(ga, gb)
 
 
-# --- rendering and the value type ---------------------------------------------
+# --- rendering ------------------------------------------------------------------
 
 def test_subset_strings():
     assert subset_str(mask(1, 2, 3, 4, n=5), 5) == "1234"
@@ -205,19 +214,6 @@ def test_parse_rejects_bad_input():
         parse_subset("11", 5)
 
 
-def test_subset_value_type():
-    a = Subset.parse("23", 4)
-    b = Subset.parse("14", 4)
-    assert a.weakly_separated_from(b)
-    assert not a.strongly_separated_from(b)
-    assert str(a.apply(GroupElement.COMPLEMENT)) == "14"
-    assert a.elements() == (2, 3)
-    with pytest.raises(ValueError):
-        a.weakly_separated_from(Subset.parse("2", 5))
-    with pytest.raises(GroundSizeError):
-        Subset(0, 0)
-
-
 # --- the separation graph -------------------------------------------------------
 
 def test_graph_n3():
@@ -230,16 +226,22 @@ def test_graph_n3():
 def test_graph_n4_counts():
     ss = separation_graph(4, "ss")
     ws = separation_graph(4, "ws")
-    assert ss.vertex_count == ws.vertex_count == 8
+    assert len(ss.vertices) == len(ws.vertices) == 8
     assert ss.edge_count == 16
     assert ws.edge_count == 17
-    assert set(ss.edges()) < set(ws.edges())
+    assert ss.vertices == ws.vertices
+    for a, b in zip(ss.adjacency, ws.adjacency):
+        assert a & ~b == 0
+    assert ss.adjacency != ws.adjacency
 
 
 def test_graph_edges_consistent_with_adjacency():
     g = separation_graph(4, "ws")
-    for i, j in g.edges():
-        assert g.has_edge(i, j) and g.has_edge(j, i)
+    for i, a in enumerate(g.adjacency):
+        assert not a >> i & 1
+        for j in range(len(g.vertices)):
+            assert (a >> j & 1) == (g.adjacency[j] >> i & 1)
+            assert bool(a >> j & 1) == (i != j and weakly_separated(g.vertices[i], g.vertices[j]))
 
 
 def test_ground_size_validation():
