@@ -30,14 +30,14 @@ from .separation import (
     retraction_image,
 )
 from .subsets import (
-    GROUP,
-    GroupElement,
+    GENERATORS,
     SeparationGraph,
-    act,
+    complement_mask,
     is_frozen,
     is_frozen_enumerated,
     nonfrozen_subsets,
     precedes,
+    reverse_mask,
     separation_graph,
     strongly_separated,
     subset_str,

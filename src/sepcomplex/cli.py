@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from typing import Sequence
 
 from .complexes import Complex
 from .homology import format_homology, homology_summary, reduced_homology
-from .separation import CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP, CapExceeded, build
+from .separation import CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP, CapExceeded, build, enumeration_cap
 from .subsets import check_ground_size, check_relation, is_frozen, parse_subset
 from .verify import (
     CHECK_NAMES,
@@ -42,16 +43,26 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_complex(path: str) -> tuple[Complex, int | None, str | None]:
+def _load_complex(path: str, cap: int | None) -> tuple[Complex, int | None, str | None]:
+    """Read a complex file. A facet may have at most C(cap - 1, 2) vertices,
+    the facet size of the ss and ws complexes at the cap, since face
+    enumeration walks every subset of every facet."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError("complex JSON is nested too deeply") from None
     cx = Complex.from_dict(data)
+    cap = enumeration_cap(cap)
+    most, size = comb(cap - 1, 2), cx.dimension() + 1
+    if size > most:
+        raise CapExceeded(f"a facet of {size} vertices exceeds {most}, the facet size "
+                          f"of ss({cap}) and ws({cap}) at the enumeration cap {cap}")
     n, relation = data.get("n"), data.get("relation")
     if relation is not None:
         check_relation(relation)
+        if n is None:
+            raise ValueError("complex JSON with a 'relation' needs its ground size 'n'")
     if n is not None:
         _check_labels(cx.labels, check_ground_size(n), relation)
     return cx, n, relation
@@ -77,7 +88,7 @@ def _check_labels(labels: Sequence[str], n: int, relation: str | None) -> None:
 def _obtain_complex(args: argparse.Namespace) -> tuple[Complex, int | None, str | None]:
     """A complex from a JSON file, or built from --n/--relation."""
     if getattr(args, "input", None):
-        return _load_complex(args.input)
+        return _load_complex(args.input, args.cap)
     if args.n is None or args.relation is None:
         raise ValueError("provide an input file or both --n and --relation")
     sc = build(args.n, args.relation, args.cap)

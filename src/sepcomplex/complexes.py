@@ -492,7 +492,6 @@ class Covering:
     parent: Complex
     members: tuple[Complex, ...]
     labels: tuple[str, ...]
-    index_action: Mapping[Any, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         if len(self.members) != len(self.labels):

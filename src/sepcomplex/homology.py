@@ -96,7 +96,8 @@ def boundary_matrices(x: Complex) -> list[SparseIntMatrix]:
     out = [SparseIntMatrix(1, len(below), {(0, j): 1 for j in range(len(below))})]
     for faces in levels:
         index = {m: i for i, m in enumerate(below)}
-        entries: dict[tuple[int, int], int] = {}
+        op = SparseIntMatrix(len(below), len(faces))
+        entries = op.entries  # filled in place, since the constructor would copy them all
         for j, f in enumerate(faces):
             sign = 1
             rest = f
@@ -105,7 +106,7 @@ def boundary_matrices(x: Complex) -> list[SparseIntMatrix]:
                 rest ^= low
                 entries[(index[f ^ low], j)] = sign
                 sign = -sign
-        out.append(SparseIntMatrix(len(below), len(faces), entries))
+        out.append(op)
         below = faces
     return out
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import subsets
 from .complexes import Complex, Covering, _mask_of, _mask_to_tuple, clique_complex
-from .subsets import GROUP, GroupElement, act, separation_graph, subset_str
+from .subsets import separation_graph, subset_str
 
 DEFAULT_ENUMERATION_CAP = 7
 CAP_ENV_VAR = "SEPCX_CAP"
@@ -24,15 +24,21 @@ class CapExceeded(ValueError):
 
 
 def enumeration_cap(override: int | None = None) -> int:
+    """The largest ground size to enumerate: `override` if given, else
+    SEPCX_CAP, else the default. A cap below 1 is rejected."""
     if override is not None:
-        return int(override)
-    env = os.environ.get(CAP_ENV_VAR)
-    if not env:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+        cap, source = int(override), "the enumeration cap"
+    else:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_ENUMERATION_CAP
+        try:
+            cap, source = int(env), CAP_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def check_enumeration_cap(n: int, cap: int | None = None) -> None:
@@ -75,9 +81,10 @@ class SeparationComplex:
     def label(self, index: int) -> str:
         return self.complex.labels[index]
 
-    def vertex_permutation(self, g: GroupElement) -> tuple[int, ...]:
-        """Index permutation induced by a symmetry of the ground set."""
-        return tuple(self._index[act(g, m, self.n)] for m in self.masks)
+    def vertex_permutation(self, g: Callable[[int, int], int]) -> tuple[int, ...]:
+        """Index permutation induced by a symmetry generator of the ground set
+        (one of subsets.GENERATORS)."""
+        return tuple(self._index[g(m, self.n)] for m in self.masks)
 
     def singleton_pair_indices(self) -> tuple[tuple[int, int], ...]:
         """Vertex index pairs (k, complement of k) for k = 2..n-1."""
@@ -211,9 +218,9 @@ def retraction_image(sc: SeparationComplex, face: Iterable[int | str]) -> tuple[
 
 def deletion_covering(sc: SeparationComplex) -> Covering:
     """Covering of the weak-separation complex by deletions of the singletons
-    2..n-1 and their complements, with the induced symmetry action on indices.
-    Member 2m deletes vertex sc.singleton_pair_indices()[m][0], the singleton
-    m + 2, and member 2m + 1 deletes [m][1], its complement."""
+    2..n-1 and their complements. Member 2m deletes vertex
+    sc.singleton_pair_indices()[m][0], the singleton m + 2, and member
+    2m + 1 deletes [m][1], its complement."""
     if sc.relation != "ws":
         raise ValueError("the deletion covering is defined on the weak-separation complex")
     if sc.n < 4:
@@ -221,11 +228,7 @@ def deletion_covering(sc: SeparationComplex) -> Covering:
     deleted = [v for pair in sc.singleton_pair_indices() for v in pair]
     members = [sc.complex.deletion_mask(1 << v) for v in deleted]
     labels = [f"dl({sc.label(v)})" for v in deleted]
-    action = {}
-    for g in GROUP:
-        perm = sc.vertex_permutation(g)
-        action[g] = tuple(deleted.index(perm[v]) for v in deleted)
-    return Covering(sc.complex, tuple(members), tuple(labels), action)
+    return Covering(sc.complex, tuple(members), tuple(labels))
 
 
 def free_complementary_pairs(index_subset: Iterable[int], n: int) -> int:

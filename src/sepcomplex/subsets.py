@@ -6,7 +6,6 @@ ordering downstream derives from it.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -165,48 +164,27 @@ def nonfrozen_subsets(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the symmetry group: complementation and order reversal
+# the symmetries: complementation and order reversal
 # ---------------------------------------------------------------------------
 
-class GroupElement(enum.Enum):
-    """The Klein four-group generated by set complementation and by the
-    order-reversing relabeling k -> n+1-k."""
-
-    IDENTITY = "e"
-    COMPLEMENT = "complement"
-    REVERSE = "reverse"
-    COMPLEMENT_REVERSE = "complement-reverse"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-GROUP = (
-    GroupElement.IDENTITY,
-    GroupElement.COMPLEMENT,
-    GroupElement.REVERSE,
-    GroupElement.COMPLEMENT_REVERSE,
-)
+def complement_mask(s: int, n: int) -> int:
+    """Complement of a subset of [n]."""
+    check_mask(s, check_ground_size(n))
+    return ground_mask(n) ^ s
 
 
 def reverse_mask(s: int, n: int) -> int:
-    """Apply k -> n+1-k elementwise."""
+    """Apply k -> n+1-k elementwise to a subset of [n]."""
+    check_mask(s, check_ground_size(n))
     out = 0
     for k in elements_of(s):
         out |= 1 << (n - k)
     return out
 
 
-def act(g: GroupElement, s: int, n: int) -> int:
-    """Apply a symmetry to a subset of [n]."""
-    check_mask(s, check_ground_size(n))
-    if g is GroupElement.IDENTITY:
-        return s
-    if g is GroupElement.COMPLEMENT:
-        return ground_mask(n) ^ s
-    if g is GroupElement.REVERSE:
-        return reverse_mask(s, n)
-    return ground_mask(n) ^ reverse_mask(s, n)
+# The paper's two symmetry generators: commuting involutions, so the group
+# they generate holds only the identity and their composite besides them.
+GENERATORS = (complement_mask, reverse_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from sepcomplex.homology import (
 )
 from sepcomplex.separation import antipodal_subcomplex, deletion_covering
 from sepcomplex.subsets import (
-    GROUP,
-    act,
+    GENERATORS,
     is_frozen,
     is_frozen_enumerated,
     strongly_separated,
@@ -202,10 +201,10 @@ def test_criterion_13_property_suites(ss4, ss5, ws4, ws5):
                 ok = ok and s == strongly_separated(b, a)
                 ok = ok and w == weakly_separated(b, a)
                 ok = ok and (not s or w)
-                for g in GROUP:
+                for g in GENERATORS:
                     if not ok:
                         break
-                    ga, gb = act(g, a, n), act(g, b, n)
+                    ga, gb = g(a, n), g(b, n)
                     ok = ok and s == strongly_separated(ga, gb)
                     ok = ok and w == weakly_separated(ga, gb)
         for s_ in range(1 << n):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,11 @@ def test_build_and_fvector(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "fvector", str(out))
     assert code == 0
     assert stdout.strip() == "8 16 8"
+    out = tmp_path / "ws5.json"
+    assert run_cli(capsys, "build", "--n", "5", "--relation", "ws", "--out", str(out))[0] == 0
+    code, stdout, _ = run_cli(capsys, "fvector", str(out))
+    assert code == 0
+    assert stdout.split() == [str(c) for c in build(5, "ws").complex.face_counts()]
 
 
 def test_round_trip_preserves_facets(tmp_path, capsys):
@@ -127,6 +133,7 @@ def test_missing_input(capsys):
     ({"n": 4, "relation": "zz", "vertices": ["x"], "facets": [[0]]}, "relation must be"),
     ({"n": 4, "vertices": ["23", "32"], "facets": [[0, 1]]}, "name the same subset"),
     ({"vertices": ["a", "b", "c"], "facets": [[True, False], [2]]}, "True is not an integer"),
+    ({"relation": "ss", "vertices": ["zz"], "facets": [[0]]}, "needs its ground size 'n'"),
     pytest.param("[" * 100000 + "]" * 100000, "nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
@@ -145,12 +152,52 @@ def test_cap_exit_code(capsys):
 
 
 def test_malformed_cap_variable_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SEPCX_CAP", "abc")
-    for argv in (("build", "--n", "4", "--relation", "ss"), ("verify", "figures", "--n", "3")):
-        code, _, err = run_cli(capsys, *argv)
+    for value in ("abc", "-5", "0"):
+        monkeypatch.setenv("SEPCX_CAP", value)
+        for argv in (("build", "--n", "4", "--relation", "ss"),
+                     ("verify", "figures", "--n", "3"), ("reproduce-paper", "--n", "4")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error:")
+            assert "SEPCX_CAP" in err
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cap_below_one_exits_2(tmp_path, capsys, cap):
+    path = tmp_path / "ws4.json"
+    path.write_text(json.dumps(build(4, "ws").complex.to_dict(4, "ws")))
+    for argv in (("build", "--n", "4", "--relation", "ss"), ("verify", "figures", "--n", "3"),
+                 ("fvector", str(path))):
+        code, _, err = run_cli(capsys, *argv, "--cap", cap)
         assert code == 2
         assert err.startswith("error:")
-        assert "SEPCX_CAP" in err
+        assert f"at least 1, got {cap}" in err
+
+
+def _one_facet_file(tmp_path, size):
+    path = tmp_path / f"facet{size}.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(size)],
+                                "facets": [list(range(size))]}))
+    return path
+
+
+def test_facet_above_the_cap_exits_3_before_enumerating(tmp_path, capsys):
+    # C(cap - 1, 2) vertices, the facet size of ss(cap) and ws(cap): 15 at cap 7
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "fvector", str(_one_facet_file(tmp_path, 30)))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "a facet of 30 vertices exceeds 15" in err and "cap 7" in err
+    code, _, err = run_cli(capsys, "fvector", str(_one_facet_file(tmp_path, 16)))
+    assert code == 3
+    assert "a facet of 16 vertices exceeds 15" in err
+    code, stdout, _ = run_cli(capsys, "fvector", str(_one_facet_file(tmp_path, 15)))
+    assert code == 0
+    assert stdout.split()[:2] == ["15", "105"]
+    code, stdout, _ = run_cli(capsys, "fvector", str(_one_facet_file(tmp_path, 16)),
+                              "--cap", "8")
+    assert code == 0
+    assert stdout.split()[:2] == ["16", "120"]
 
 
 def test_verify_cross_polytope_respects_the_cap(capsys):

@@ -16,8 +16,7 @@ from sepcomplex.separation import (
     retraction_images,
 )
 from sepcomplex.subsets import (
-    GROUP,
-    act,
+    GENERATORS,
     ground_mask,
     separation_graph,
     strongly_separated,
@@ -96,11 +95,11 @@ def test_vertex_index_lookup(ss4):
 
 
 def test_vertex_permutations(ss4):
-    for g in GROUP:
+    for g in GENERATORS:
         perm = ss4.vertex_permutation(g)
         assert sorted(perm) == list(range(len(ss4.masks)))
         for i, m in enumerate(ss4.masks):
-            assert ss4.masks[perm[i]] == act(g, m, 4)
+            assert ss4.masks[perm[i]] == g(m, 4)
 
 
 # --- antipodal subcomplex -----------------------------------------------------
@@ -208,16 +207,23 @@ def test_covering_structure(ws5):
 
 
 def test_covering_index_action(ws5):
+    # each generator permutes the deleted vertices, and so the members
     cov = deletion_covering(ws5)
     full = ground_mask(5)
     deleted = []
     for k in (2, 3, 4):
         deleted.append(1 << (k - 1))
         deleted.append(full ^ (1 << (k - 1)))
-    for g, perm in cov.index_action.items():
-        assert sorted(perm) == list(range(6))
+    vertices = [v for pair in ws5.singleton_pair_indices() for v in pair]
+    assert [ws5.masks[v] for v in vertices] == deleted
+    for g in GENERATORS:
+        perm = ws5.vertex_permutation(g)
+        action = [vertices.index(perm[v]) for v in vertices]
+        assert sorted(action) == list(range(6))
         for i, m in enumerate(deleted):
-            assert deleted[perm[i]] == act(g, m, 5)
+            assert deleted[action[i]] == g(m, 5)
+            moved = sum(1 << perm[v] for v in cov.members[i].vertices())
+            assert moved == cov.members[action[i]].vertex_mask
 
 
 def test_covering_needs_ws(ss5):

@@ -4,10 +4,9 @@ import itertools
 import pytest
 
 from sepcomplex.subsets import (
-    GROUP,
+    GENERATORS,
     GroundSizeError,
-    GroupElement,
-    act,
+    complement_mask,
     elements_of,
     ground_mask,
     is_frozen,
@@ -16,6 +15,7 @@ from sepcomplex.subsets import (
     nonfrozen_subsets,
     parse_subset,
     precedes,
+    reverse_mask,
     separation_graph,
     strongly_separated,
     subset_str,
@@ -150,49 +150,59 @@ def test_nonfrozen_counts():
         assert len(nonfrozen_subsets(n)) == 2 ** n - 2 * n
 
 
-# --- the symmetry group -------------------------------------------------------
+# --- the symmetry generators ---------------------------------------------------
 
-def test_act_examples():
-    assert act(GroupElement.COMPLEMENT, mask(2, n=4), 4) == mask(1, 3, 4, n=4)
-    assert act(GroupElement.REVERSE, mask(1, 2, 4, n=4), 4) == mask(1, 3, 4, n=4)
-    s = mask(2, 5, n=6)
-    assert act(GroupElement.IDENTITY, s, 6) == s
-
-
-# the Klein four-group: KLEIN[g, h] is the element acting as g after h
-E, C, R, CR = GROUP
-KLEIN = {
-    (E, E): E, (E, C): C, (E, R): R, (E, CR): CR,
-    (C, E): C, (C, C): E, (C, R): CR, (C, CR): R,
-    (R, E): R, (R, C): CR, (R, R): E, (R, CR): C,
-    (CR, E): CR, (CR, C): R, (CR, R): C, (CR, CR): E,
-}
+def test_generator_examples():
+    assert complement_mask(mask(2, n=4), 4) == mask(1, 3, 4, n=4)
+    assert reverse_mask(mask(1, 2, 4, n=4), 4) == mask(1, 3, 4, n=4)
+    assert reverse_mask(mask(2, 5, n=6), 6) == mask(2, 5, n=6)
+    for g in GENERATORS:
+        with pytest.raises(GroundSizeError):
+            g(0, 0)
+        with pytest.raises(ValueError):
+            g(1 << 4, 4)
+        with pytest.raises(ValueError):
+            g(-1, 4)
 
 
-def test_group_composition_table():
-    # four distinct maps on subsets, each an involution
-    n = 5
-    assert len({tuple(act(g, s, n) for s in range(1 << n)) for g in GROUP}) == 4
-    for g in GROUP:
-        assert KLEIN[g, g] is E
-        for s in range(1 << n):
-            assert act(g, act(g, s, n), n) == s
+def test_generators_satisfy_the_klein_group_law():
+    # both are involutions and commute, and the four products are four
+    # distinct maps: the generators span the Klein four-group, nothing smaller
+    for n in range(4, 7):
+        subsets = range(1 << n)
+        c = lambda s: complement_mask(s, n)
+        r = lambda s: reverse_mask(s, n)
+        for s in subsets:
+            assert c(c(s)) == s
+            assert r(r(s)) == s
+            assert c(r(s)) == r(c(s))
+        products = (lambda s: s, c, r, lambda s: c(r(s)))
+        assert len({tuple(map(p, subsets)) for p in products}) == 4
 
 
-def test_action_respects_composition():
-    n = 5
-    for (g, h), k in KLEIN.items():
-        for s in range(1 << n):
-            assert act(g, act(h, s, n), n) == act(k, s, n)
+@pytest.mark.parametrize("relation", ["ws", "ss"])
+def test_generators_are_automorphisms_of_the_separation_graph(relation):
+    for n in range(4, 9):
+        graph = separation_graph(n, relation)
+        index = {m: i for i, m in enumerate(graph.vertices)}
+        full = ground_mask(n)
+        pairs = {frozenset((1 << (k - 1), full ^ (1 << (k - 1)))) for k in range(2, n)}
+        for g in GENERATORS:
+            perm = [index[g(m, n)] for m in graph.vertices]  # KeyError if not onto
+            assert sorted(perm) == list(range(len(perm)))
+            for i, adj in enumerate(graph.adjacency):
+                image = sum(1 << perm[j] for j in range(len(perm)) if adj >> j & 1)
+                assert image == graph.adjacency[perm[i]]
+            assert {frozenset(g(m, n) for m in pair) for pair in pairs} == pairs
 
 
 def test_predicates_equivariant_exhaustively():
     for n in range(1, 6):
-        for g in GROUP:
+        for g in GENERATORS:
             for a in range(1 << n):
-                ga = act(g, a, n)
+                ga = g(a, n)
                 for b in range(1 << n):
-                    gb = act(g, b, n)
+                    gb = g(b, n)
                     assert strongly_separated(a, b) == strongly_separated(ga, gb)
                     assert weakly_separated(a, b) == weakly_separated(ga, gb)
 

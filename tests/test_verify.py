@@ -10,6 +10,7 @@ from sepcomplex import verify
 from sepcomplex.complexes import Covering, nerve
 from sepcomplex.homology import HomologyGroup
 from sepcomplex.separation import CapExceeded, build, deletion_covering, retraction_images
+from sepcomplex.subsets import GENERATORS
 from sepcomplex.verify import (
     CHECK_NAMES,
     CHECKS,
@@ -151,6 +152,34 @@ def test_retraction_sweeps_guard_small_ground_sets():
 def test_equivariance(ss4, ws4):
     assert all_pass(equivariance_checks(ss4))
     assert all_pass(equivariance_checks(ws4))
+
+
+def _permuted(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+def _equivariance_row(sc):
+    return next(r for r in equivariance_checks(sc)
+                if r.check.startswith("retraction-equivariance"))
+
+
+def test_retraction_equivariance_over_the_whole_group(ss4, ss5, monkeypatch):
+    # oracle: the two generators and their composite, each swept over every
+    # face; the row sweeps the generators alone and must agree
+    for sc in (ss4, ss5):
+        images = retraction_images(sc)
+        c, r = (sc.vertex_permutation(g) for g in GENERATORS)
+        composite = tuple(c[r[v]] for v in range(len(r)))
+        for perm in (c, r, composite):
+            assert not any(images[_permuted(f, perm)] != _permuted(img, perm)
+                           for f, img in images.items())
+        assert _equivariance_row(sc).computed == "0"
+        altered = dict(images)
+        altered[next(iter(altered))] = 0  # every true image is nonempty
+        with monkeypatch.context() as m:
+            m.setattr(verify, "retraction_images", lambda _: altered)
+            row = _equivariance_row(sc)
+        assert row.status == "FAIL" and int(row.computed) > 0
 
 
 def test_ws5_certificate_row(ws5):
