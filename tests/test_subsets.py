@@ -165,19 +165,37 @@ def test_generator_examples():
             g(-1, 4)
 
 
-def test_generators_satisfy_the_klein_group_law():
-    # both are involutions and commute, and the four products are four
-    # distinct maps: the generators span the Klein four-group, nothing smaller
+def test_action_respects_composition():
+    # both generators are involutions and they commute
+    for n in range(4, 7):
+        for s in range(1 << n):
+            assert complement_mask(complement_mask(s, n), n) == s
+            assert reverse_mask(reverse_mask(s, n), n) == s
+            assert complement_mask(reverse_mask(s, n), n) == reverse_mask(complement_mask(s, n), n)
+
+
+# Klein four-group on the products of the generators C and R
+KLEIN = {
+    ("e", "e"): "e", ("e", "c"): "c", ("e", "r"): "r", ("e", "cr"): "cr",
+    ("c", "e"): "c", ("c", "c"): "e", ("c", "r"): "cr", ("c", "cr"): "r",
+    ("r", "e"): "r", ("r", "c"): "cr", ("r", "r"): "e", ("r", "cr"): "c",
+    ("cr", "e"): "cr", ("cr", "c"): "r", ("cr", "r"): "c", ("cr", "cr"): "e",
+}
+
+
+def test_group_composition_table():
+    # the four products of the generators are four distinct maps on the
+    # subsets of [n] and compose by the Klein table: the generators span
+    # the Klein four-group, nothing smaller
     for n in range(4, 7):
         subsets = range(1 << n)
         c = lambda s: complement_mask(s, n)
         r = lambda s: reverse_mask(s, n)
-        for s in subsets:
-            assert c(c(s)) == s
-            assert r(r(s)) == s
-            assert c(r(s)) == r(c(s))
-        products = (lambda s: s, c, r, lambda s: c(r(s)))
-        assert len({tuple(map(p, subsets)) for p in products}) == 4
+        products = {"e": lambda s: s, "c": c, "r": r, "cr": lambda s: c(r(s))}
+        tables = {name: tuple(map(p, subsets)) for name, p in products.items()}
+        assert len(set(tables.values())) == 4
+        for (g, h), gh in KLEIN.items():
+            assert tuple(products[g](products[h](s)) for s in subsets) == tables[gh]
 
 
 @pytest.mark.parametrize("relation", ["ws", "ss"])
