@@ -44,9 +44,11 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _load_complex(path: str, cap: int | None) -> tuple[Complex, int | None, str | None]:
-    """Read a complex file. A facet may have at most C(cap - 1, 2) vertices,
-    the facet size of the ss and ws complexes at the cap, since face
-    enumeration walks every subset of every facet."""
+    """Read a complex file. Face enumeration walks every subset of every
+    facet, so the cap bounds that work: a facet may have at most
+    C(cap - 1, 2) vertices, the facet size of the ss and ws complexes at the
+    cap, and all facets together at most 2^(C(cap - 1, 2) + cap) subsets, as
+    many as 2^cap facets of that size have."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -58,6 +60,11 @@ def _load_complex(path: str, cap: int | None) -> tuple[Complex, int | None, str 
     if size > most:
         raise CapExceeded(f"a facet of {size} vertices exceeds {most}, the facet size "
                           f"of ss({cap}) and ws({cap}) at the enumeration cap {cap}")
+    subsets, budget = sum(1 << f.bit_count() for f in cx.facets), 1 << (most + cap)
+    if subsets > budget:
+        raise CapExceeded(f"the {len(cx.facets)} facets have {subsets} subsets, above "
+                          f"{budget} = 2^({most} + {cap}), the subsets of 2^{cap} facets "
+                          f"of {most} vertices at the enumeration cap {cap}")
     n, relation = data.get("n"), data.get("relation")
     if relation is not None:
         check_relation(relation)

@@ -38,11 +38,17 @@ def _mask_to_tuple(m: int) -> tuple[int, ...]:
 
 
 def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
-    """Drop masks contained in another; dedupe; sort ascending."""
+    """Drop masks contained in another; dedupe; sort ascending. Distinct
+    masks of one size never contain each other, so each mask is tested only
+    against the kept masks of larger size."""
     by_size = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     kept: list[int] = []
+    larger: list[int] = []
+    size = -1
     for m in by_size:
-        if m and not any(m & ~k == 0 for k in kept):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), kept.copy()
+        if m and not any(m & ~k == 0 for k in larger):
             kept.append(m)
     kept.sort()
     return tuple(kept)

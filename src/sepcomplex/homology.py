@@ -1,10 +1,15 @@
 """Exact reduced simplicial homology over the integers.
 
-Boundary operators are assembled as sparse integer matrices and brought to
-Smith normal form by a two-phase elimination: a sparse phase that pivots only
-on +-1 entries (chosen by a Markowitz fill estimate, so the reduction stays
-fraction-free and fast on boundary matrices), then a dense textbook phase on
-whatever small residue is left. All arithmetic is arbitrary-precision.
+Boundary operators are sparse integer matrices, brought to Smith normal form
+by a two-phase elimination: a sparse phase that pivots only on +-1 entries
+(chosen by a Markowitz fill estimate, so the reduction stays fraction-free
+and fast on boundary matrices), then a dense textbook phase on whatever small
+residue is left. All arithmetic is arbitrary-precision.
+
+Only the face lists of the complex are kept. Each operator is built from them
+when it is needed, one at a time, as the implicit boundary matrix of Ripser
+(Bauer) is: `reduced_homology` builds b_d straight into the column dicts of
+the elimination, just before it reduces b_d, and drops it before b_{d-1}.
 
 `reduced_homology` reduces the operators from the top dimension down with
 clearing (the twist of Chen-Kerber and Bauer-Kerber-Reininghaus): a d-face
@@ -17,10 +22,10 @@ the dense phase need not be units and never clear a column.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
 
 from .complexes import Complex
 
@@ -82,33 +87,68 @@ class HomologyGroup:
 # boundary operators
 # ---------------------------------------------------------------------------
 
-def boundary_matrices(x: Complex) -> list[SparseIntMatrix]:
+class BoundaryOperators(Sequence[SparseIntMatrix]):
+    """The boundary operators of a complex's augmented chain complex,
+    dimensions 0..dim, built one at a time from its face lists.
+
+    Indexing builds one operator as a `SparseIntMatrix`; `columns` builds the
+    same operator as the column dicts the elimination works on. Only the face
+    lists are kept, so no two operators need to be alive at once.
+    """
+
+    __slots__ = ("faces",)
+
+    def __init__(self, faces: list[list[int]]):
+        self.faces = faces  # faces[d]: the d-faces as masks, in walker order
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+    def __getitem__(self, d: int | slice) -> SparseIntMatrix | list[SparseIntMatrix]:
+        if isinstance(d, slice):
+            return [self[i] for i in range(*d.indices(len(self)))]
+        d = range(len(self))[d]  # negative indices and IndexError as for a list
+        op = SparseIntMatrix(self.nrows(d), len(self.faces[d]))
+        entries = op.entries  # filled in place, since the constructor would copy them all
+        for j, col in enumerate(self.columns(d)):
+            for i, v in col.items():
+                entries[(i, j)] = v
+        return op
+
+    def nrows(self, d: int) -> int:
+        return len(self.faces[d - 1]) if d else 1
+
+    def columns(self, d: int, skip: frozenset[int] = frozenset()) -> list[dict[int, int]]:
+        """The columns of b_d, 0 <= d < len(self), as {row: value} dicts; a
+        column in `skip` is left empty. Signs alternate over the vertices of a
+        face in ascending order, starting with + for the omitted lowest vertex."""
+        faces = self.faces[d]
+        if d == 0:
+            return [{} if j in skip else {0: 1} for j in range(len(faces))]
+        index = {m: i for i, m in enumerate(self.faces[d - 1])}
+        cols: list[dict[int, int]] = []
+        for j, f in enumerate(faces):
+            col: dict[int, int] = {}
+            if j not in skip:
+                sign = 1
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    col[index[f ^ low]] = sign
+                    sign = -sign
+            cols.append(col)
+        return cols
+
+
+def boundary_matrices(x: Complex) -> BoundaryOperators:
     """Boundary operators of the augmented chain complex, dimensions 0..dim.
 
     The degree-0 operator is the augmentation row (all ones), which makes the
-    resulting homology reduced. Entry signs alternate over the vertices of a
-    face in ascending order, starting with + for the omitted lowest vertex.
+    resulting homology reduced. The faces are walked here; each operator is
+    built when it is asked for.
     """
-    levels = x.face_levels()
-    below = next(levels, [])
-    if not below:
-        return []
-    out = [SparseIntMatrix(1, len(below), {(0, j): 1 for j in range(len(below))})]
-    for faces in levels:
-        index = {m: i for i, m in enumerate(below)}
-        op = SparseIntMatrix(len(below), len(faces))
-        entries = op.entries  # filled in place, since the constructor would copy them all
-        for j, f in enumerate(faces):
-            sign = 1
-            rest = f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                entries[(index[f ^ low], j)] = sign
-                sign = -sign
-        out.append(op)
-        below = faces
-    return out
+    return BoundaryOperators(list(x.face_levels()))
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +157,22 @@ def boundary_matrices(x: Complex) -> list[SparseIntMatrix]:
 
 def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
-    _, factors, _ = _rank_and_factors(m)
+    cols: list[dict[int, int]] = [{} for _ in range(m.ncols)]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = v
+    _, factors, _ = _rank_and_factors(m.nrows, cols)
     return factors
 
 
-def _rank_and_factors(m: SparseIntMatrix, skip: frozenset[int] = frozenset()
+def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
                       ) -> tuple[int, tuple[int, ...], list[int]]:
-    """Rank and invariant factors of `m` without the columns in `skip`, and
-    the rows where the sparse phase pivoted on a +-1 entry.
-
-    Skipping columns is sound only when they lie in the integer span of the
-    kept ones; `reduced_homology` guarantees that by clearing.
-    """
-    rows: list[dict[int, int]] = [dict() for _ in range(m.nrows)]
-    cols: list[dict[int, int]] = [dict() for _ in range(m.ncols)]
-    for (i, j), v in m.entries.items():
-        if j not in skip:
+    """Rank and invariant factors of the matrix with `nrows` rows and the
+    columns `cols` ({row: value} dicts, reduced in place), and the rows where
+    the sparse phase pivoted on a +-1 entry."""
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
             rows[i][j] = v
-            cols[j][i] = v
 
     heap: list[tuple[int, int, int]] = []
     for j, col in enumerate(cols):
@@ -143,8 +181,8 @@ def _rank_and_factors(m: SparseIntMatrix, skip: frozenset[int] = frozenset()
                 heap.append(((len(rows[i]) - 1) * (len(col) - 1), i, j))
     heapq.heapify(heap)
 
-    row_alive = bytearray(b"\x01") * m.nrows
-    col_alive = bytearray(b"\x01") * m.ncols
+    row_alive = bytearray(b"\x01") * nrows
+    col_alive = bytearray(b"\x01") * len(cols)
     pivot_rows: list[int] = []
 
     while heap:
@@ -190,7 +228,7 @@ def _rank_and_factors(m: SparseIntMatrix, skip: frozenset[int] = frozenset()
         pivot_rows.append(pi)
 
     rank = len(pivot_rows)
-    residual_rows = [i for i in range(m.nrows) if row_alive[i] and rows[i]]
+    residual_rows = [i for i in range(nrows) if row_alive[i] and rows[i]]
     factors = [1] * rank
     if residual_rows:
         residual_cols = sorted({j for i in residual_rows for j in rows[i]})
@@ -271,32 +309,26 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
     are reduced from the top dimension down, and b_d skips as columns the
     d-faces whose rows held the unit pivots of b_{d+1} (clearing, see the
     module docstring), which leaves every rank and invariant factor as it is.
+    Each b_d is built just before it is reduced, without its cleared columns.
     """
-    mats = boundary_matrices(x)
-    if not mats:
-        return []
-    ranks = [0] * (len(mats) + 1)
-    torsions: list[tuple[int, ...]] = [()] * (len(mats) + 1)
+    ops = boundary_matrices(x)
+    top = len(ops)
+    ranks = [0] * (top + 1)
+    torsions: list[tuple[int, ...]] = [()] * (top + 1)
     cleared: frozenset[int] = frozenset()
-    for d in reversed(range(len(mats))):
-        ranks[d], factors, pivot_rows = _rank_and_factors(mats[d], cleared)
+    for d in reversed(range(top)):
+        ranks[d], factors, pivot_rows = _rank_and_factors(ops.nrows(d), ops.columns(d, cleared))
         torsions[d] = tuple(t for t in factors if t > 1)
         cleared = frozenset(pivot_rows)
-    out = []
-    for d, mat in enumerate(mats):
-        betti = mat.ncols - ranks[d] - ranks[d + 1]
-        out.append(HomologyGroup(betti, torsions[d + 1]))
-    return out
+    return [HomologyGroup(len(faces) - ranks[d] - ranks[d + 1], torsions[d + 1])
+            for d, faces in enumerate(ops.faces)]
 
 
 def betti_rational(x: Complex) -> list[int]:
     """Betti numbers via rank computations over the rationals only."""
-    mats = boundary_matrices(x)
-    if not mats:
-        return []
-    ranks = [_rank_over_rationals(mat) for mat in mats]
-    ranks.append(0)
-    return [mat.ncols - ranks[d] - ranks[d + 1] for d, mat in enumerate(mats)]
+    ops = boundary_matrices(x)
+    ranks = [_rank_over_rationals(op) for op in ops] + [0]
+    return [len(faces) - ranks[d] - ranks[d + 1] for d, faces in enumerate(ops.faces)]
 
 
 def _rank_over_rationals(m: SparseIntMatrix) -> int:

@@ -1,15 +1,17 @@
 """The command-line surface: verbs, formats, exit codes, round trips."""
 import hashlib
 import json
+import random
 import re
 import shlex
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from sepcomplex import build
-from sepcomplex.cli import build_parser, main
+from sepcomplex.cli import _load_complex, build_parser, main
 from sepcomplex.complexes import Complex
 
 
@@ -198,6 +200,46 @@ def test_facet_above_the_cap_exits_3_before_enumerating(tmp_path, capsys):
                               "--cap", "8")
     assert code == 0
     assert stdout.split()[:2] == ["16", "120"]
+
+
+def _facets_file(tmp_path, nverts, facets):
+    path = tmp_path / f"facets{len(facets)}.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(nverts)],
+                                "facets": [list(f) for f in facets]}))
+    return path
+
+
+def test_facet_subsets_above_the_budget_exit_3(tmp_path, capsys):
+    # cap 4: facets of at most C(3, 2) = 3 vertices, 2^(3 + 4) = 128 subsets in all
+    triples = list(combinations(range(8), 3))
+    code, stdout, _ = run_cli(capsys, "fvector", str(_facets_file(tmp_path, 8, triples[:16])),
+                              "--cap", "4")
+    assert code == 0
+    assert stdout.split()[-1] == "16"
+    code, stdout, err = run_cli(capsys, "fvector", str(_facets_file(tmp_path, 8, triples[:17])),
+                                "--cap", "4")
+    assert code == 3
+    assert stdout == ""
+    assert "the 17 facets have 136 subsets, above 128 = 2^(3 + 4)" in err
+
+
+def test_many_facets_exit_3_before_enumerating(tmp_path, capsys):
+    rng = random.Random(11)
+    facets = {tuple(sorted(rng.sample(range(30), 15))) for _ in range(10000)}
+    path = _facets_file(tmp_path, 30, sorted(facets))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "fvector", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert f"the {len(facets)} facets have {len(facets) << 15} subsets, above 4194304" in err
+
+
+def test_exported_n6_complexes_fit_the_default_budget(tmp_path, ss6):
+    for sc in (ss6, build(6, "ws")):
+        path = tmp_path / f"{sc.relation}6.json"
+        path.write_text(json.dumps(sc.complex.to_dict(sc.n, sc.relation)))
+        cx, n, relation = _load_complex(str(path), None)
+        assert (cx.facets, n, relation) == (sc.complex.facets, 6, sc.relation)
 
 
 def test_verify_cross_polytope_respects_the_cap(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_complexes import random_clique_complexes, random_facet_complexes
 
+from sepcomplex import homology
 from sepcomplex.complexes import Complex, cross_polytope_boundary, isomorphic
 from sepcomplex.homology import (
     HomologyGroup,
@@ -253,6 +254,39 @@ def test_boundary_composites_vanish(ss4, ws4, ss5):
         mats = boundary_matrices(cx)
         for lower, upper in zip(mats, mats[1:]):
             assert multiply(lower, upper).nnz == 0
+
+
+def test_boundary_matrices_is_a_lazy_sequence(ss4):
+    mats = boundary_matrices(ss4.complex)
+    counts = ss4.complex.face_counts()
+    top = len(counts)
+    assert len(mats) == top == 3
+    assert [(m.nrows, m.ncols) for m in mats] == list(zip((1,) + counts, counts))
+    assert to_rows(mats[-1]) == to_rows(mats[top - 1])
+    assert [to_rows(m) for m in mats[1:]] == [to_rows(mats[d]) for d in range(1, top)]
+    assert mats[top:] == []
+    for d in (top, -top - 1):
+        with pytest.raises(IndexError):
+            mats[d]
+    assert [m.entries for m in mats] == [m.entries for m in mats]
+
+
+def test_reduced_homology_streams_the_operators(ss5, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduced_homology built a SparseIntMatrix")
+
+    calls = []
+    real = homology.boundary_matrices
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(homology, "SparseIntMatrix", refuse)
+    monkeypatch.setattr(homology, "boundary_matrices", counted)
+    groups = homology.reduced_homology(ss5.complex)
+    assert [str(g) for g in groups] == ["0", "0", "Z", "0", "0", "0"]
+    assert calls == [ss5.complex]
 
 
 # --- reduced homology -----------------------------------------------------------------
