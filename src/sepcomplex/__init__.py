@@ -19,7 +19,6 @@ from .homology import (
     smith_normal_form,
 )
 from .separation import (
-    AntipodalSubcomplex,
     CapExceeded,
     SeparationComplex,
     antipodal_subcomplex,

@@ -15,7 +15,6 @@ from typing import Sequence
 from .complexes import Complex
 from .homology import format_homology, homology_summary, reduced_homology
 from .separation import CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP, CapExceeded, build, enumeration_cap
-from .subsets import check_ground_size, check_relation, is_frozen, parse_subset
 from .verify import (
     CHECK_NAMES,
     any_failed,
@@ -65,31 +64,7 @@ def _load_complex(path: str, cap: int | None) -> tuple[Complex, int | None, str 
         raise CapExceeded(f"the {len(cx.facets)} facets have {subsets} subsets, above "
                           f"{budget} = 2^({most} + {cap}), the subsets of 2^{cap} facets "
                           f"of {most} vertices at the enumeration cap {cap}")
-    n, relation = data.get("n"), data.get("relation")
-    if relation is not None:
-        check_relation(relation)
-        if n is None:
-            raise ValueError("complex JSON with a 'relation' needs its ground size 'n'")
-    if n is not None:
-        _check_labels(cx.labels, check_ground_size(n), relation)
-    return cx, n, relation
-
-
-def _check_labels(labels: Sequence[str], n: int, relation: str | None) -> None:
-    """Each label must name its own subset of [n], and a non-frozen one when
-    the complex carries its relation."""
-    named: dict[int, str] = {}
-    for label in labels:
-        try:
-            s = parse_subset(label, n)
-        except ValueError as exc:
-            raise ValueError(f"vertex label {label!r} is not a subset of [{n}]: {exc}") from None
-        if relation is not None and is_frozen(s, n):
-            raise ValueError(f"vertex label {label!r} is a frozen subset of [{n}], "
-                             f"not a vertex of a {relation} complex")
-        if s in named:
-            raise ValueError(f"vertex labels {named[s]!r} and {label!r} name the same subset")
-        named[s] = label
+    return cx, data.get("n"), data.get("relation")
 
 
 def _obtain_complex(args: argparse.Namespace) -> tuple[Complex, int | None, str | None]:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from .subsets import check_ground_size, check_relation, is_frozen, parse_subset
+
 ISOMORPHISM_VERTEX_CAP = 64
 NERVE_INDEX_CAP = 20
 
@@ -40,16 +42,28 @@ def _mask_to_tuple(m: int) -> tuple[int, ...]:
 def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
     """Drop masks contained in another; dedupe; sort ascending. Distinct
     masks of one size never contain each other, so each mask is tested only
-    against the kept masks of larger size."""
+    against the kept masks of larger size, all at once: holders[v] has bit i
+    set when kept[i] holds vertex v, and a mask lies in a larger kept one iff
+    the AND of holders over its vertices has a bit below its size class."""
     by_size = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     kept: list[int] = []
-    larger: list[int] = []
-    size = -1
+    holders: dict[int, int] = {}  # keyed by the vertex's bit
+    size, larger = -1, 0
     for m in by_size:
         if m.bit_count() != size:
-            size, larger = m.bit_count(), kept.copy()
-        if m and not any(m & ~k == 0 for k in larger):
+            size, larger = m.bit_count(), (1 << len(kept)) - 1
+        common, rest = larger, m
+        while rest and common:
+            low = rest & -rest
+            rest ^= low
+            common &= holders.get(low, 0)
+        if m and not common:
+            bit, rest = 1 << len(kept), m
             kept.append(m)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                holders[low] = holders.get(low, 0) | bit
     kept.sort()
     return tuple(kept)
 
@@ -251,8 +265,7 @@ class Complex:
         return self.star_mask(_mask_of(face, len(self.labels)))
 
     def deletion_mask(self, m: int) -> "Complex":
-        kept = _maximal(f & ~m for f in self.facets)
-        return Complex._trusted(self.labels, kept, self._graph)
+        return self.induced_mask(~m)
 
     def deletion(self, vertex_set: Iterable[int]) -> "Complex":
         """Faces disjoint from the given vertex set."""
@@ -378,7 +391,9 @@ class Complex:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Complex":
-        """Inverse of to_dict; raises ValueError on a malformed mapping."""
+        """Inverse of to_dict; raises ValueError on a malformed mapping. With
+        a ground size 'n', each label must name its own subset of [n], and a
+        non-frozen one when the mapping also gives its 'relation'."""
         if not isinstance(data, Mapping):
             raise ValueError("complex JSON must be an object")
         labels, facets = data.get("vertices"), data.get("facets")
@@ -388,6 +403,27 @@ class Complex:
             raise ValueError("vertex labels must be distinct strings")
         if not all(isinstance(f, list) for f in facets):
             raise ValueError("each facet must be a list of vertex indices")
+        n, relation = data.get("n"), data.get("relation")
+        if relation is not None:
+            check_relation(relation)
+            if n is None:
+                raise ValueError("complex JSON with a 'relation' needs its ground size 'n'")
+        if n is not None:
+            check_ground_size(n)
+            named: dict[int, str] = {}
+            for label in labels:
+                try:
+                    s = parse_subset(label, n)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"vertex label {label!r} is not a subset of [{n}]: {exc}") from None
+                if relation is not None and is_frozen(s, n):
+                    raise ValueError(f"vertex label {label!r} is a frozen subset of [{n}], "
+                                     f"not a vertex of a {relation} complex")
+                if s in named:
+                    raise ValueError(
+                        f"vertex labels {named[s]!r} and {label!r} name the same subset")
+                named[s] = label
         return cls(labels, facets)
 
 

@@ -50,7 +50,7 @@ def check_enumeration_cap(n: int, cap: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class SeparationComplex:
-    """A separation complex together with its ground-set bookkeeping."""
+    """A separation complex, or its full subcomplex on `masks`, with ground-set bookkeeping."""
 
     n: int
     relation: str
@@ -115,49 +115,20 @@ def build(n: int, relation: str, cap: int | None = None) -> SeparationComplex:
 # the antipodal subcomplex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AntipodalSubcomplex:
-    """Induced subcomplex on the singletons 2..n-1 and their complements.
-
-    Its n-2 complementary vertex pairs are mutually non-adjacent within a
-    pair and adjacent across pairs, which makes it a cross-polytope boundary.
-    """
-
-    n: int
-    complex: Complex
-    masks: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]  # index pairs into the local table
-
-
-def antipodal_subcomplex(n: int) -> AntipodalSubcomplex:
-    """Build the antipodal subcomplex directly from the strong relation."""
-    subsets.check_ground_size(n)
+def antipodal_subcomplex(n: int) -> SeparationComplex:
+    """K(n): ss(n) induced on the singletons 2..n-1 and their complements,
+    built from the strong relation on those 2(n-2) subsets alone. Its n-2
+    pairs (singleton_pair_indices) make it a cross-polytope boundary, which
+    the report's cross-polytope-isomorphism row checks."""
+    full = subsets.ground_mask(n)
     if n < 4:
         raise ValueError("the antipodal subcomplex needs n >= 4")
-    full = subsets.ground_mask(n)
-    masks = sorted(
-        m for k in range(2, n) for m in (1 << (k - 1), full ^ (1 << (k - 1)))
-    )
-    index = {m: i for i, m in enumerate(masks)}
-    labels = [subset_str(m, n) for m in masks]
-    adjacency = [0] * len(masks)
-    for i, a in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if subsets.strongly_separated(a, masks[j]):
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    pairs = []
-    for k in range(2, n):
-        i, j = index[1 << (k - 1)], index[full ^ (1 << (k - 1))]
-        if adjacency[i] >> j & 1:
-            raise RuntimeError("complementary vertices must not be adjacent")
-        pairs.append((min(i, j), max(i, j)))
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (i, j) not in pairs and not adjacency[i] >> j & 1:
-                raise RuntimeError("non-complementary vertices must be adjacent")
-    cx = clique_complex(labels, adjacency)
-    return AntipodalSubcomplex(n, cx, tuple(masks), tuple(pairs))
+    masks = tuple(sorted(
+        m for k in range(2, n) for m in (1 << (k - 1), full ^ (1 << (k - 1)))))
+    adjacency = [sum(1 << j for j, b in enumerate(masks)
+                     if b != a and subsets.strongly_separated(a, b)) for a in masks]
+    cx = clique_complex([subset_str(m, n) for m in masks], adjacency)
+    return SeparationComplex(n, "ss", cx, masks)
 
 
 # ---------------------------------------------------------------------------

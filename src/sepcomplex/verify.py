@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .complexes import Complex, Covering, _mask_to_tuple, cross_polytope_boundary, isomorphic
+from .complexes import Complex, _mask_to_tuple, _maximal, cross_polytope_boundary, isomorphic
 from .homology import HomologyGroup, reduced_homology
 from .separation import (
     SeparationComplex,
@@ -325,19 +325,17 @@ def contractibility_certificate(cx: Complex) -> str:
     return "none"
 
 
-def _all_intersections(covering: Covering) -> dict[int, Complex]:
-    """Intersection of every subset of covering members, keyed by index mask.
-
-    Precondition: every member is a full subcomplex of the parent, so an
-    intersection is the parent induced on the AND of the members' vertex
-    masks. Deletion coverings are, and so are vertex-star coverings of a flag
-    complex; these are the only coverings given here.
-    """
-    masks = {0: covering.parent.vertex_mask}
-    for smask in range(1, 1 << len(covering.members)):
+def _intersection_masks(parent_mask: int, member_masks: Sequence[int]) -> dict[int, int]:
+    """Vertex masks of the intersections of every subset of the members,
+    keyed by index mask, index mask 0 holding `parent_mask`. Precondition:
+    each member is the parent's full subcomplex on its mask (a deletion, or a
+    vertex star of a flag complex), so an intersection is the parent induced
+    on the AND of the masks."""
+    masks = {0: parent_mask}
+    for smask in range(1, 1 << len(member_masks)):
         low = smask & -smask
-        masks[smask] = masks[smask ^ low] & covering.members[low.bit_length() - 1].vertex_mask
-    return {smask: covering.parent.induced_mask(m) for smask, m in masks.items()}
+        masks[smask] = masks[smask ^ low] & member_masks[low.bit_length() - 1]
+    return masks
 
 
 def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
@@ -350,18 +348,19 @@ def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
         _row(f"covering-unions-to-complex {scope}", scope, True,
              covering.covers_parent()),
     ]
-    inters = _all_intersections(covering)
-    nerve_cx = _nerve_of(covering, inters)
+    masks = _intersection_masks(sc.complex.vertex_mask,
+                                [m.vertex_mask for m in covering.members])
+    nerve_facets = _maximal(smask for smask, m in masks.items() if smask and m)
     want = len(covering.members)
-    full = (1 << want) - 1
     out.append(_row(f"covering-nerve-is-simplex {scope}", scope,
                     f"simplex on {want} vertices",
-                    f"simplex on {want} vertices" if nerve_cx.facets == (full,)
-                    else f"facets {nerve_cx.facet_tuples()}"))
-    star = central_edge_star(sc)
-    total = len(inters)
-    nonempty = sum(1 for cx in inters.values() if not cx.is_empty)
-    contain_star = sum(all(cx.has_face_mask(f) for f in star.facets) for cx in inters.values())
+                    f"simplex on {want} vertices" if nerve_facets == ((1 << want) - 1,)
+                    else f"facets {[_mask_to_tuple(f) for f in nerve_facets]}"))
+    star = central_edge_star(sc).vertex_mask
+    total = len(masks)
+    nonempty = sum(1 for m in masks.values() if m)
+    contain_star = sum(1 for m in masks.values() if star & ~m == 0)
+    inters = {smask: sc.complex.induced_mask(m) for smask, m in masks.items()}
     worst = [format(smask, "b") for smask, cx in inters.items()
              if not all(g.is_trivial for g in reduced_homology(cx))]
     trivial = total - len(worst)
@@ -383,12 +382,6 @@ def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
     return out
 
 
-def _nerve_of(covering: Covering, inters: dict[int, Complex]) -> Complex:
-    """The nerve off `_all_intersections`: index sets with a nonempty intersection."""
-    return Complex(covering.labels, (_mask_to_tuple(smask) for smask, cx in inters.items()
-                                     if smask and not cx.is_empty))
-
-
 def star_cover_vertex_indices(sc: SeparationComplex, index_subset: Iterable[int]) -> list[int]:
     """Vertex indices whose stars cover an intersection with no free pairs:
     the central pair plus every non-deleted singleton and complement."""
@@ -407,20 +400,24 @@ def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[in
     """Inside one no-free-pair intersection, every nonempty intersection of
     the star covering must expose a cone point. The intersection deletes the
     vertices the subset indexes in deletion_covering order: index 2m is the
-    singleton of sc.singleton_pair_indices()[m], 2m + 1 its complement."""
+    singleton of sc.singleton_pair_indices()[m], 2m + 1 its complement.
+
+    Read off the closed neighbourhoods N[v]: in a flag complex the star of v
+    is induced on N[v], and an induced clique complex has a cone point iff a
+    vertex of it is adjacent to all the others."""
     chosen = sorted(set(index_subset))
     scope = f"ws({sc.n}) sigma={{{','.join(map(str, chosen))}}}"
     cover_vertices = star_cover_vertex_indices(sc, chosen)  # validates the indices
     pairs = sc.singleton_pair_indices()
-    cx = sc.complex.deletion_mask(sum(1 << pairs[i // 2][i % 2] for i in chosen))
-    members = [cx.star_mask(1 << v) for v in cover_vertices]
-    labels = [f"st({cx.labels[v]})" for v in cover_vertices]
-    star_covering = Covering(cx, tuple(members), tuple(labels))
-    if not star_covering.covers_parent():
+    closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
+    kept = sc.complex.vertex_mask & ~sum(1 << pairs[i // 2][i % 2] for i in chosen)
+    stars = [closed[v] & kept for v in cover_vertices]
+    # every face of the intersection lies in f & kept for some facet f of sc
+    if not all(any(f & kept & ~star == 0 for star in stars) for f in sc.complex.facets):
         return CheckResult(f"star-cover-covers {scope}", scope, "True", "False", FAIL)
-    inters = [inter for tmask, inter in _all_intersections(star_covering).items()
-              if tmask and not inter.is_empty]
-    missing = sum(1 for inter in inters if not inter.cone_points())
+    inters = [m for tmask, m in _intersection_masks(kept, stars).items() if tmask and m]
+    missing = sum(1 for m in inters
+                  if not any(m & ~closed[v] == 0 for v in _mask_to_tuple(m)))
     return _row(f"star-cover-cone-points {scope}", scope,
                 "0 missing", f"{missing} missing",
                 witness=f"{len(inters)} nonempty intersections")

@@ -234,6 +234,26 @@ def test_many_facets_exit_3_before_enumerating(tmp_path, capsys):
     assert f"the {len(facets)} facets have {len(facets) << 15} subsets, above 4194304" in err
 
 
+def test_many_facets_of_mixed_sizes_load_fast(tmp_path, capsys):
+    # every edge lies outside the triangles, so all 16000 facets are maximal
+    rng = random.Random(5)
+    triangles = set()
+    while len(triangles) < 8000:
+        triangles.add(tuple(sorted(rng.sample(range(300), 3))))
+    covered = {e for t in triangles for e in combinations(t, 2)}
+    edges = set()
+    while len(edges) < 8000:
+        e = tuple(sorted(rng.sample(range(300), 2)))
+        if e not in covered:
+            edges.add(e)
+    path = _facets_file(tmp_path, 300, sorted(triangles) + sorted(edges))
+    start = time.perf_counter()
+    code, stdout, _ = run_cli(capsys, "fvector", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert stdout.split()[1:] == [str(len(covered) + 8000), "8000"]
+
+
 def test_exported_n6_complexes_fit_the_default_budget(tmp_path, ss6):
     for sc in (ss6, build(6, "ws")):
         path = tmp_path / f"{sc.relation}6.json"

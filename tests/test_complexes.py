@@ -1,5 +1,6 @@
 """The simplicial complex engine against definition-level face oracles."""
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from sepcomplex.complexes import (
     Complex,
     Covering,
     _mask_to_tuple,
+    _maximal,
     clique_complex,
     cross_polytope_boundary,
     isomorphic,
@@ -88,6 +90,20 @@ def test_clique_complex_validates_adjacency():
 def test_from_faces_keeps_maximal_only():
     cx = Complex(list("abc"), [(0, 1), (0,), (0, 1, 2)])
     assert cx.facet_tuples() == [(0, 1, 2)]
+
+
+def brute_maximal(masks):
+    """Every distinct nonzero mask that no other mask contains, ascending."""
+    masks = set(masks)
+    return tuple(sorted(m for m in masks if m and not any(m != k and m & ~k == 0 for k in masks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=40))
+@example([0])
+@example([0b111, 0b011, 0b100, 0b1000, 0b1000])
+def test_maximal_matches_brute_force(masks):
+    assert _maximal(masks) == brute_maximal(masks)
 
 
 def test_isolated_vertices_are_singleton_facets():
@@ -458,6 +474,20 @@ def test_json_round_trip(ss4):
     assert again.facets == ss4.complex.facets
     assert again.labels == ss4.complex.labels
     assert data["n"] == 4 and data["relation"] == "ss"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"relation": "ss", "vertices": ["2"], "facets": [[0]]}, "needs its ground size 'n'"),
+    ({"n": 4, "vertices": ["2", "5"], "facets": [[0, 1]]}, "'5' is not a subset of [4]"),
+    ({"n": 4, "relation": "ws", "vertices": ["2", "1234"], "facets": [[0, 1]]},
+     "'1234' is a frozen subset of [4]"),
+    ({"n": 4, "vertices": ["12", "21"], "facets": [[0, 1]]}, "name the same subset"),
+])
+def test_from_dict_checks_the_labels_against_n_and_relation(payload, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Complex.from_dict(payload)
+    del payload["relation" if "relation" in payload else "n"]
+    assert Complex.from_dict(payload).labels == tuple(payload["vertices"])
 
 
 @settings(max_examples=200, deadline=None)

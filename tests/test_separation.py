@@ -104,36 +104,41 @@ def test_vertex_permutations(ss4):
 
 # --- antipodal subcomplex -----------------------------------------------------
 
-def test_antipodal_n4_is_square(ss4):
+def test_antipodal_n4_is_square():
     sub = antipodal_subcomplex(4)
     assert sub.complex.labels == ("2", "3", "124", "134")
     assert sub.complex.face_counts() == (4, 4)
-    induced = ss4.complex.induced(
-        [ss4.vertex_index(s) for s in ("2", "3", "124", "134")])
-    induced_labels = {
-        frozenset(ss4.label(v) for v in f) for f in induced.facet_tuples()}
-    sub_labels = {
-        frozenset(sub.complex.labels[v] for v in f) for f in sub.complex.facet_tuples()}
-    assert induced_labels == sub_labels
 
 
-def test_antipodal_matches_induced_subcomplex(ss5):
-    sub = antipodal_subcomplex(5)
-    induced = ss5.complex.induced(ss5.antipodal_vertex_indices())
-    induced_labels = {
-        frozenset(ss5.label(v) for v in f) for f in induced.facet_tuples()}
-    sub_labels = {
-        frozenset(sub.complex.labels[v] for v in f) for f in sub.complex.facet_tuples()}
-    assert induced_labels == sub_labels
+def test_antipodal_matches_induced_subcomplex(ss4, ss5, ss6):
+    for sc in (ss4, ss5, ss6):
+        sub = antipodal_subcomplex(sc.n)
+        assert (sub.n, sub.relation) == (sc.n, "ss")
+        induced = sc.complex.induced(sc.antipodal_vertex_indices())
+        induced_labels = {
+            frozenset(sc.label(v) for v in f) for f in induced.facet_tuples()}
+        sub_labels = {
+            frozenset(sub.label(v) for v in f) for f in sub.complex.facet_tuples()}
+        assert induced_labels == sub_labels
 
 
 def test_antipodal_is_cross_polytope_boundary():
     for n in range(4, 8):
         sub = antipodal_subcomplex(n)
         assert isomorphic(sub.complex, cross_polytope_boundary(n - 2)) is not None
-        assert len(sub.pairs) == n - 2
-        for i, j in sub.pairs:
+        assert len(sub.singleton_pair_indices()) == n - 2
+        for i, j in sub.singleton_pair_indices():
             assert not sub.complex.has_face((i, j))
+
+
+def test_generators_preserve_the_antipodal_facets():
+    for n in range(4, 9):
+        sub = antipodal_subcomplex(n)
+        facets = set(sub.complex.facet_tuples())
+        assert len(facets) == 1 << (n - 2)
+        for g in GENERATORS:
+            perm = sub.vertex_permutation(g)
+            assert {tuple(sorted(perm[v] for v in f)) for f in facets} == facets
 
 
 def test_antipodal_needs_n4():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_complexes import random_clique_complexes
 
 from sepcomplex import verify
-from sepcomplex.complexes import Covering, nerve
+from sepcomplex.complexes import Complex, Covering, _mask_to_tuple, nerve
 from sepcomplex.homology import HomologyGroup
 from sepcomplex.separation import CapExceeded, build, deletion_covering, retraction_images
 from sepcomplex.subsets import GENERATORS
@@ -15,8 +15,7 @@ from sepcomplex.verify import (
     CHECK_NAMES,
     CHECKS,
     CheckResult,
-    _all_intersections,
-    _nerve_of,
+    _intersection_masks,
     antipodal_checks,
     any_failed,
     boundary_findings,
@@ -221,18 +220,26 @@ def full_subcomplex_coverings(draw):
 
 
 def assert_table_matches_the_fold(covering):
-    """Every `_all_intersections` entry is the fold of Complex.intersection,
-    and the nerve read off the table is nerve(covering)."""
-    inters = _all_intersections(covering)
-    assert list(inters) == list(range(1 << len(covering.members)))
-    for smask, inter in inters.items():
+    """The parent induced on each `_intersection_masks` entry is the fold of
+    Complex.intersection, and the index sets with a nonzero mask span
+    nerve(covering). Returns the folds, keyed by index mask."""
+    masks = _intersection_masks(covering.parent.vertex_mask,
+                                [m.vertex_mask for m in covering.members])
+    assert list(masks) == list(range(1 << len(covering.members)))
+    folds = {}
+    for smask, m in masks.items():
         fold = covering.parent
         for i, member in enumerate(covering.members):
             if smask >> i & 1:
                 fold = fold.intersection(member)
+        inter = covering.parent.induced_mask(m)
         assert (inter.labels, inter.facets) == (fold.labels, fold.facets)
-    table, reference = _nerve_of(covering, inters), nerve(covering)
+        assert bool(m) == (not fold.is_empty)
+        folds[smask] = fold
+    table = Complex(covering.labels, [_mask_to_tuple(s) for s, m in masks.items() if s and m])
+    reference = nerve(covering)
     assert (table.labels, table.facets) == (reference.labels, reference.facets)
+    return folds
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,22 +250,46 @@ def test_intersection_table_matches_the_facet_fold(covering):
 
 def test_intersection_table_on_the_paper_coverings(ws4, ws5):
     for sc in (ws4, ws5):
-        covering = deletion_covering(sc)
-        assert_table_matches_the_fold(covering)
+        folds = assert_table_matches_the_fold(deletion_covering(sc))
         pairs = sc.singleton_pair_indices()
-        inters = _all_intersections(covering)
         for chosen in no_free_pair_subsets(sc.n):
             # the intersection star_cover_cone_point_check deletes its way to
             deleted = sum(1 << pairs[i // 2][i % 2] for i in chosen)
-            cx = inters[sum(1 << i for i in chosen)]
-            assert cx.facets == sc.complex.deletion_mask(deleted).facets
+            cx = folds[sum(1 << i for i in chosen)]
+            assert cx.vertex_mask == sc.complex.vertex_mask & ~deleted
             stars = [cx.star_mask(1 << v) for v in star_cover_vertex_indices(sc, chosen)]
             star_covering = Covering(cx, tuple(stars), tuple(f"s{i}" for i in range(len(stars))))
-            assert_table_matches_the_fold(star_covering)
-            nonempty = sum(1 for tmask, inter in _all_intersections(star_covering).items()
-                           if tmask and not inter.is_empty)
+            assert star_covering.covers_parent()
+            inters = [fold for tmask, fold in assert_table_matches_the_fold(star_covering).items()
+                      if tmask and not fold.is_empty]
+            missing = sum(1 for fold in inters if not fold.cone_points())
             row = star_cover_cone_point_check(sc, chosen)
-            assert (row.status, row.witness) == ("PASS", f"{nonempty} nonempty intersections")
+            assert (row.status, row.computed, row.witness) == (
+                "PASS", f"{missing} missing", f"{len(inters)} nonempty intersections")
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_clique_complexes(), st.data())
+def test_closed_neighbourhoods_give_stars_and_cone_points(cx, data):
+    """On the complex induced on M: it has a cone point iff a vertex of M is
+    adjacent to every other, and the star of v in M has vertices N[v] & M."""
+    m = data.draw(st.integers(0, (1 << len(cx.labels)) - 1), label="vertex set")
+    induced = cx.induced_mask(m)
+    closed = [a | 1 << v for v, a in enumerate(cx.graph)]
+    vertices = _mask_to_tuple(m)
+    assert any(m & ~closed[v] == 0 for v in vertices) == bool(induced.cone_points())
+    for v in vertices:
+        assert closed[v] & m == induced.star_mask(1 << v).vertex_mask
+
+
+def test_star_cover_reads_only_the_graph(ws5, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("star_cover_checks built a star or asked for cone points")
+
+    monkeypatch.setattr(Complex, "star_mask", refuse)
+    monkeypatch.setattr(Complex, "cone_points", refuse)
+    row, = star_cover_checks(ws5)
+    assert (row.status, row.computed) == ("PASS", "27 intersections clean")
 
 
 def test_star_cover_rejects_free_pairs(ws4):
