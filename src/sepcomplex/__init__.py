@@ -23,9 +23,7 @@ from .separation import (
     SeparationComplex,
     antipodal_subcomplex,
     build,
-    central_edge_star,
     deletion_covering,
-    free_complementary_pairs,
     retraction_image,
 )
 from .subsets import (

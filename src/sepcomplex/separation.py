@@ -200,32 +200,3 @@ def deletion_covering(sc: SeparationComplex) -> Covering:
     members = [sc.complex.deletion_mask(1 << v) for v in deleted]
     labels = [f"dl({sc.label(v)})" for v in deleted]
     return Covering(sc.complex, tuple(members), tuple(labels))
-
-
-def free_complementary_pairs(index_subset: Iterable[int], n: int) -> int:
-    """Number of pairs (k, complement) with neither deletion indexed by the subset.
-
-    Indices follow the deletion_covering order: positions 2m and 2m+1 hold the
-    singleton k = m+2 and its complement.
-    """
-    chosen = set(index_subset)
-    size = 2 * (n - 2)
-    for i in chosen:
-        if not 0 <= i < size:
-            raise ValueError(f"index {i} outside the covering index set of size {size}")
-    free = 0
-    for pair in range(n - 2):
-        if 2 * pair not in chosen and 2 * pair + 1 not in chosen:
-            free += 1
-    return free
-
-
-def central_edge_star(sc: SeparationComplex) -> Complex:
-    """Star of the edge {the pair {1, n}, its complement} in the weak complex."""
-    if sc.relation != "ws":
-        raise ValueError("the central edge lives in the weak-separation complex")
-    full = subsets.ground_mask(sc.n)
-    ends = (1 << 0) | (1 << (sc.n - 1))
-    i = sc.vertex_index(ends)
-    j = sc.vertex_index(full ^ ends)
-    return sc.complex.star_mask((1 << i) | (1 << j))

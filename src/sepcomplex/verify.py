@@ -33,10 +33,8 @@ from .separation import (
     SeparationComplex,
     antipodal_subcomplex,
     build,
-    central_edge_star,
     check_enumeration_cap,
     deletion_covering,
-    free_complementary_pairs,
     retraction_images,
 )
 from .subsets import GENERATORS, MAX_GROUND_SIZE, ground_mask
@@ -338,6 +336,20 @@ def _intersection_masks(parent_mask: int, member_masks: Sequence[int]) -> dict[i
     return masks
 
 
+def _deletion_masks(sc: SeparationComplex) -> dict[int, int]:
+    """The intersection table of deletion_covering(sc): index 2m deletes the
+    singleton of sc.singleton_pair_indices()[m], index 2m + 1 its complement."""
+    vm = sc.complex.vertex_mask
+    return _intersection_masks(
+        vm, [vm & ~(1 << v) for pair in sc.singleton_pair_indices() for v in pair])
+
+
+def _central_pair(sc: SeparationComplex) -> tuple[int, int]:
+    """Vertex indices of {1, n} and its complement, the central edge."""
+    ends = 1 | 1 << (sc.n - 1)
+    return sc.vertex_index(ends), sc.vertex_index(ground_mask(sc.n) ^ ends)
+
+
 def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
     """The deletion covering: union, nerve, and every index-subset intersection."""
     scope = f"ws({sc.n})"
@@ -348,15 +360,16 @@ def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
         _row(f"covering-unions-to-complex {scope}", scope, True,
              covering.covers_parent()),
     ]
-    masks = _intersection_masks(sc.complex.vertex_mask,
-                                [m.vertex_mask for m in covering.members])
+    masks = _deletion_masks(sc)
     nerve_facets = _maximal(smask for smask, m in masks.items() if smask and m)
     want = len(covering.members)
     out.append(_row(f"covering-nerve-is-simplex {scope}", scope,
                     f"simplex on {want} vertices",
                     f"simplex on {want} vertices" if nerve_facets == ((1 << want) - 1,)
                     else f"facets {[_mask_to_tuple(f) for f in nerve_facets]}"))
-    star = central_edge_star(sc).vertex_mask
+    graph = sc.complex.graph
+    i, j = _central_pair(sc)
+    star = (graph[i] | 1 << i) & (graph[j] | 1 << j)  # the central edge's star
     total = len(masks)
     nonempty = sum(1 for m in masks.values() if m)
     contain_star = sum(1 for m in masks.values() if star & ~m == 0)
@@ -382,67 +395,36 @@ def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
     return out
 
 
-def star_cover_vertex_indices(sc: SeparationComplex, index_subset: Iterable[int]) -> list[int]:
-    """Vertex indices whose stars cover an intersection with no free pairs:
-    the central pair plus every non-deleted singleton and complement."""
-    chosen = set(index_subset)
-    if free_complementary_pairs(chosen, sc.n):
-        raise ValueError("star covering applies to intersections with no free pairs")
-    full = ground_mask(sc.n)
-    ends = (1 << 0) | (1 << (sc.n - 1))
-    pairs = sc.singleton_pair_indices()
-    return ([sc.vertex_index(ends), sc.vertex_index(full ^ ends)]
-            + [pair[side] for side in (0, 1) for m, pair in enumerate(pairs)
-               if 2 * m + side not in chosen])
-
-
-def star_cover_cone_point_check(sc: SeparationComplex, index_subset: Iterable[int]) -> CheckResult:
-    """Inside one no-free-pair intersection, every nonempty intersection of
-    the star covering must expose a cone point. The intersection deletes the
-    vertices the subset indexes in deletion_covering order: index 2m is the
-    singleton of sc.singleton_pair_indices()[m], 2m + 1 its complement.
+def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
+    """Inside each deletion intersection that deletes a vertex of every
+    complementary pair, the stars of the central pair and of the kept pair
+    vertices cover it, and each nonempty intersection of those stars has a
+    cone point. A failure is named by its deletion indices sigma.
 
     Read off the closed neighbourhoods N[v]: in a flag complex the star of v
     is induced on N[v], and an induced clique complex has a cone point iff a
     vertex of it is adjacent to all the others."""
-    chosen = sorted(set(index_subset))
-    scope = f"ws({sc.n}) sigma={{{','.join(map(str, chosen))}}}"
-    cover_vertices = star_cover_vertex_indices(sc, chosen)  # validates the indices
-    pairs = sc.singleton_pair_indices()
-    closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
-    kept = sc.complex.vertex_mask & ~sum(1 << pairs[i // 2][i % 2] for i in chosen)
-    stars = [closed[v] & kept for v in cover_vertices]
-    # every face of the intersection lies in f & kept for some facet f of sc
-    if not all(any(f & kept & ~star == 0 for star in stars) for f in sc.complex.facets):
-        return CheckResult(f"star-cover-covers {scope}", scope, "True", "False", FAIL)
-    inters = [m for tmask, m in _intersection_masks(kept, stars).items() if tmask and m]
-    missing = sum(1 for m in inters
-                  if not any(m & ~closed[v] == 0 for v in _mask_to_tuple(m)))
-    return _row(f"star-cover-cone-points {scope}", scope,
-                "0 missing", f"{missing} missing",
-                witness=f"{len(inters)} nonempty intersections")
-
-
-def no_free_pair_subsets(n: int) -> list[tuple[int, ...]]:
-    """All covering index subsets whose every complementary pair is used."""
-    size = 2 * (n - 2)
-    return [
-        tuple(i for i in range(size) if smask >> i & 1)
-        for smask in range(1 << size)
-        if free_complementary_pairs(
-            (i for i in range(size) if smask >> i & 1), n) == 0
-    ]
-
-
-def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
-    """Every no-free-pair intersection passes star_cover_cone_point_check."""
     scope = f"ws({sc.n})"
-    rows = [star_cover_cone_point_check(sc, s) for s in no_free_pair_subsets(sc.n)]
-    bad = [r for r in rows if r.status != PASS]
+    closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
+    centre = _central_pair(sc)
+    pair_vertices = [v for pair in sc.singleton_pair_indices() for v in pair]
+    clean, bad = 0, []
+    for smask, kept in _deletion_masks(sc).items():
+        if not all(smask >> 2 * m & 3 for m in range(sc.n - 2)):
+            continue
+        cover = [*centre, *(v for i, v in enumerate(pair_vertices) if not smask >> i & 1)]
+        stars = [closed[v] & kept for v in cover]
+        # every face of the intersection lies in f & kept for some facet f of sc
+        covers = all(any(f & kept & ~star == 0 for star in stars) for f in sc.complex.facets)
+        inters = [m for tmask, m in _intersection_masks(kept, stars).items() if tmask and m]
+        if covers and all(any(m & ~closed[v] == 0 for v in _mask_to_tuple(m)) for m in inters):
+            clean += 1
+        else:
+            bad.append(f"{scope} sigma={{{','.join(map(str, _mask_to_tuple(smask)))}}}")
+    total = clean + len(bad)
     return [_row(f"star-cover-cone-points-all {scope}", scope,
-                 f"{len(rows)} intersections clean",
-                 f"{len(rows) - len(bad)} intersections clean",
-                 witness="; ".join(r.scope for r in bad))]
+                 f"{total} intersections clean", f"{clean} intersections clean",
+                 witness="; ".join(bad))]
 
 
 # ---------------------------------------------------------------------------

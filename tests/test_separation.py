@@ -7,10 +7,8 @@ from sepcomplex.separation import (
     CapExceeded,
     antipodal_subcomplex,
     build,
-    central_edge_star,
     deletion_covering,
     enumeration_cap,
-    free_complementary_pairs,
     retraction_image,
     retraction_image_mask,
     retraction_images,
@@ -234,23 +232,3 @@ def test_covering_index_action(ws5):
 def test_covering_needs_ws(ss5):
     with pytest.raises(ValueError):
         deletion_covering(ss5)
-
-
-def test_free_pair_counts():
-    assert free_complementary_pairs((), 5) == 3
-    assert free_complementary_pairs(range(6), 5) == 0
-    assert free_complementary_pairs((0,), 4) == 1
-    assert free_complementary_pairs((0, 1), 4) == 1
-    assert free_complementary_pairs((0, 2), 4) == 0
-    with pytest.raises(ValueError):
-        free_complementary_pairs((6,), 4)
-
-
-def test_central_edge_star(ws5):
-    star = central_edge_star(ws5)
-    i = ws5.vertex_index("15")
-    j = ws5.vertex_index("234")
-    assert not star.is_empty
-    assert star.has_face((i, j))
-    cones = star.cone_points()
-    assert i in cones and j in cones

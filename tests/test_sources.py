@@ -1,10 +1,12 @@
-"""The sources keep to the Python version the package declares, and use what they import."""
+"""The sources keep to the Python version the package declares, use what they
+import, and define nothing that goes unused."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "sepcomplex").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "sepcomplex").glob("*.py"))
 OLDEST = (3, 10)  # README and pyproject.toml: Python 3.10+
 
 
@@ -40,3 +42,57 @@ def test_the_import_scan_sees_an_unused_name():
     tree = ast.parse("from __future__ import annotations\nimport os\n"
                      "from typing import Any, List as L\nx: Any = os.sep\n")
     assert unused_imports(tree) == ["L"]
+
+
+def unreferenced_definitions(trees, package):
+    """Module-level functions and classes of the `package` modules, and the
+    methods of those classes, that no tree in `trees` (path -> ast) refers to
+    by a Name, an Attribute, an import alias or an equal string constant.
+    Dunder methods are called by the language; the imports of an __init__
+    module only re-export, so they do not count."""
+    refs = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+            elif isinstance(node, ast.alias) and not path.endswith("__init__.py"):
+                refs.update((node.name.split(".")[-1], node.asname))
+    unused = []
+    for path in package:
+        for node in trees[path].body:
+            defs = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defs.extend((f"{node.name}.{f.name}", f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and not (f.name.startswith("__") and f.name.endswith("__")))
+            unused.extend(f"{path}:{qualname}" for qualname, name in defs if name not in refs)
+    return unused
+
+
+def test_every_definition_is_referenced():
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    package = [str(p.relative_to(ROOT)) for p in SOURCES]
+    assert unreferenced_definitions(trees, package) == []
+
+
+def test_the_definition_scan_sees_an_unreferenced_name():
+    trees = {
+        "pkg/__init__.py": ast.parse("from .mod import C, dead, used\n"),
+        "pkg/mod.py": ast.parse("class C:\n    def __len__(self):\n        return 0\n"
+                                "    def kept(self):\n        pass\n"
+                                "    def gone(self):\n        pass\n"
+                                "def used():\n    return C().kept()\n"
+                                "def dead():\n    pass\n"
+                                "def patched():\n    pass\n"),
+        "tests/t.py": ast.parse("import pkg.mod as m\nfrom pkg import used\n"
+                                "setattr(m, 'patched', None)\n"),
+    }
+    assert unreferenced_definitions(trees, ["pkg/__init__.py", "pkg/mod.py"]) == [
+        "pkg/mod.py:C.gone", "pkg/mod.py:dead"]

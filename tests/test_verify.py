@@ -1,5 +1,7 @@
 """The verification layer: check functions, report formatting, the full report."""
 import json
+import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from sepcomplex.verify import (
     CHECK_NAMES,
     CHECKS,
     CheckResult,
+    _central_pair,
+    _deletion_masks,
     _intersection_masks,
     antipodal_checks,
     any_failed,
@@ -30,15 +34,12 @@ from sepcomplex.verify import (
     format_results,
     full_report,
     image_nonempty_violations,
-    no_free_pair_subsets,
     purity_check,
     results_to_json,
     retraction_checks,
     run_named_check,
     sphere_shadow,
     star_cover_checks,
-    star_cover_cone_point_check,
-    star_cover_vertex_indices,
 )
 
 
@@ -194,15 +195,35 @@ def test_covering_checks_n4(ws4):
     assert nonempty_row.computed == "16/16"
 
 
-def test_star_cover(ws4):
-    subsets = no_free_pair_subsets(4)
-    # both deletions of a pair may appear; every pair must be hit
-    assert all(
-        any(2 * k in s or 2 * k + 1 in s for k in range(2)) for s in subsets)
-    assert len(subsets) == 9  # 3 choices per pair, squared
-    assert all_pass(star_cover_checks(ws4))
-    single = star_cover_cone_point_check(ws4, (0, 2))
-    assert single.status == "PASS"
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_deletion_masks_are_the_covering_table(n):
+    sc = build(n, "ws")
+    members = [m.vertex_mask for m in deletion_covering(sc).members]
+    reference = _intersection_masks(sc.complex.vertex_mask, members)
+    assert list(_deletion_masks(sc).items()) == list(reference.items())
+
+
+def test_central_pair_spans_the_central_star(ws4, ws5):
+    for sc, labels in ((ws4, ("14", "23")), (ws5, ("15", "234"))):
+        i, j = _central_pair(sc)
+        assert (sc.label(i), sc.label(j)) == labels
+        star = sc.complex.star_mask(1 << i | 1 << j)
+        closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
+        assert star.has_face((i, j))
+        assert closed[i] & closed[j] == star.vertex_mask
+        assert {i, j} <= set(star.cone_points())
+
+
+def test_central_star_row_counts_the_intersections_holding_the_star(ws4, monkeypatch):
+    # a vertex star, so that some deletion intersections miss it
+    v = ws4.singleton_pair_indices()[0][0]
+    monkeypatch.setattr(verify, "_central_pair", lambda sc: (v, v))
+    star = ws4.complex.star_mask(1 << v).vertex_mask
+    masks = _deletion_masks(ws4)
+    holding = sum(1 for m in masks.values() if star & ~m == 0)
+    row = next(r for r in covering_checks(ws4) if "central-star" in r.check)
+    assert 0 < holding < len(masks)
+    assert (row.status, row.computed) == ("FAIL", f"{holding}/{len(masks)}")
 
 
 @st.composite
@@ -249,23 +270,30 @@ def test_intersection_table_matches_the_facet_fold(covering):
 
 
 def test_intersection_table_on_the_paper_coverings(ws4, ws5):
-    for sc in (ws4, ws5):
+    for sc, centre in ((ws4, ("14", "23")), (ws5, ("15", "234"))):
         folds = assert_table_matches_the_fold(deletion_covering(sc))
         pairs = sc.singleton_pair_indices()
-        for chosen in no_free_pair_subsets(sc.n):
-            # the intersection star_cover_cone_point_check deletes its way to
+        size = 2 * len(pairs)
+        no_free_pair = [chosen for r in range(size + 1) for chosen in combinations(range(size), r)
+                        if all(2 * m in chosen or 2 * m + 1 in chosen for m in range(len(pairs)))]
+        assert len(no_free_pair) == 3 ** (sc.n - 2)
+        clean = 0
+        for chosen in no_free_pair:
+            # the intersection deleting pair vertex i // 2, side i % 2, for i in chosen
             deleted = sum(1 << pairs[i // 2][i % 2] for i in chosen)
             cx = folds[sum(1 << i for i in chosen)]
             assert cx.vertex_mask == sc.complex.vertex_mask & ~deleted
-            stars = [cx.star_mask(1 << v) for v in star_cover_vertex_indices(sc, chosen)]
+            cover = ([sc.vertex_index(label) for label in centre]
+                     + [pairs[i // 2][i % 2] for i in range(size) if i not in chosen])
+            stars = [cx.star_mask(1 << v) for v in cover]
             star_covering = Covering(cx, tuple(stars), tuple(f"s{i}" for i in range(len(stars))))
-            assert star_covering.covers_parent()
             inters = [fold for tmask, fold in assert_table_matches_the_fold(star_covering).items()
                       if tmask and not fold.is_empty]
-            missing = sum(1 for fold in inters if not fold.cone_points())
-            row = star_cover_cone_point_check(sc, chosen)
-            assert (row.status, row.computed, row.witness) == (
-                "PASS", f"{missing} missing", f"{len(inters)} nonempty intersections")
+            clean += star_covering.covers_parent() and all(fold.cone_points() for fold in inters)
+        row, = star_cover_checks(sc)
+        assert clean == len(no_free_pair)
+        assert (row.status, row.computed, row.witness) == (
+            "PASS", f"{clean} intersections clean", "")
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,12 +320,23 @@ def test_star_cover_reads_only_the_graph(ws5, monkeypatch):
     assert (row.status, row.computed) == ("PASS", "27 intersections clean")
 
 
-def test_star_cover_rejects_free_pairs(ws4):
-    with pytest.raises(ValueError):
-        star_cover_vertex_indices(ws4, (0,))
-    for bad in ((0,), (-1, 0, 2), (0, 2, 4)):
-        with pytest.raises(ValueError):
-            star_cover_cone_point_check(ws4, bad)
+def test_star_cover_fails_without_the_central_pair(ws5, monkeypatch):
+    # 14 and 235 are complements, but not the central edge {15, 234}
+    monkeypatch.setattr(verify, "_central_pair",
+                        lambda sc: (sc.vertex_index("14"), sc.vertex_index("235")))
+    row, = star_cover_checks(ws5)
+    assert (row.status, row.computed) == ("FAIL", "0 intersections clean")
+    sigmas = [re.fullmatch(r"ws\(5\) sigma=\{([\d,]+)\}", w).group(1)
+              for w in row.witness.split("; ")]
+    index_masks = [sum(1 << int(i) for i in sigma.split(",")) for sigma in sigmas]
+    assert len(index_masks) == 27 and index_masks == sorted(set(index_masks))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cone_points_check_sweeps_every_no_free_pair_intersection(n):
+    row, = run_named_check("cone-points", n)
+    assert (row.status, row.computed, row.witness) == (
+        "PASS", f"{3 ** (n - 2)} intersections clean", "")
 
 
 def test_contractibility_certificate(ws4):
