@@ -24,7 +24,6 @@ from .separation import (
     antipodal_subcomplex,
     build,
     deletion_covering,
-    retraction_image,
 )
 from .subsets import (
     GENERATORS,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import subsets
-from .complexes import Complex, Covering, _mask_of, _mask_to_tuple, clique_complex
+from .complexes import Complex, Covering, clique_complex
 from .subsets import separation_graph, subset_str
 
 DEFAULT_ENUMERATION_CAP = 7
@@ -58,6 +58,7 @@ class SeparationComplex:
     masks: tuple[int, ...]  # subset mask per vertex, canonical order
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _pairs: tuple = field(default=(), init=False, repr=False, compare=False)
+    _images: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._index.update({m: i for i, m in enumerate(self.masks)})
@@ -92,6 +93,25 @@ class SeparationComplex:
 
     def antipodal_vertex_indices(self) -> tuple[int, ...]:
         return tuple(sorted(i for pair in self.singleton_pair_indices() for i in pair))
+
+    @property
+    def retraction_images(self) -> dict[int, int]:
+        """Retraction image mask (retraction_image_mask) of every nonempty
+        face, keyed by face mask in the order of Complex.iter_face_masks; an
+        image may be empty. Defined on ss(n), n >= 4, and built on first use.
+        Every check reads this one dict: read it, do not modify it.
+
+        Kept in a field like _pairs: functools.cached_property would write
+        the instance __dict__, which makes every later attribute read on the
+        complex slower on CPython 3.11."""
+        if self._images is None:
+            if self.relation != "ss":
+                raise ValueError("the retraction is defined on the strong-separation complex")
+            if self.n < 4:
+                raise ValueError("the retraction is defined for n >= 4")
+            object.__setattr__(self, "_images", {
+                f: retraction_image_mask(self, f) for f in self.complex.iter_face_masks()})
+        return self._images
 
 
 def build(n: int, relation: str, cap: int | None = None) -> SeparationComplex:
@@ -135,13 +155,6 @@ def antipodal_subcomplex(n: int) -> SeparationComplex:
 # the vertexwise retraction data
 # ---------------------------------------------------------------------------
 
-def _require_retraction_domain(sc: SeparationComplex) -> None:
-    if sc.relation != "ss":
-        raise ValueError("the retraction is defined on the strong-separation complex")
-    if sc.n < 4:
-        raise ValueError("the retraction is defined for n >= 4")
-
-
 def retraction_image_mask(sc: SeparationComplex, face_mask: int) -> int:
     """Vertex-index mask of the retraction image; may be empty (callers decide).
 
@@ -154,33 +167,6 @@ def retraction_image_mask(sc: SeparationComplex, face_mask: int) -> int:
         if extends_i != (face_mask & ~(g[j] | 1 << j) == 0):
             out |= 1 << (i if extends_i else j)
     return out
-
-
-def retraction_images(sc: SeparationComplex) -> dict[int, int]:
-    """Retraction image mask of every nonempty face, keyed by face mask in
-    the order of Complex.iter_face_masks; an image may be empty."""
-    _require_retraction_domain(sc)
-    return {f: retraction_image_mask(sc, f) for f in sc.complex.iter_face_masks()}
-
-
-def retraction_image(sc: SeparationComplex, face: Iterable[int | str]) -> tuple[int, ...]:
-    """Antipodal vertices v such that face + v is a face but face + partner(v) is not.
-
-    Defined on nonempty faces of the strong-separation complex; the result is
-    a nonempty face of the antipodal subcomplex containing no complementary
-    pair.
-    """
-    _require_retraction_domain(sc)
-    idx = sc.face_indices(face)
-    if not idx:
-        raise ValueError("the retraction is defined on nonempty faces")
-    m = _mask_of(idx, len(sc.masks))
-    if not sc.complex.has_face_mask(m):
-        raise ValueError("not a face of the complex")
-    img = retraction_image_mask(sc, m)
-    if img == 0:
-        raise RuntimeError("retraction image unexpectedly empty")
-    return _mask_to_tuple(img)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ yields a CheckResult row. Contractibility-style claims are never decided;
 they are certified in decreasing strength: a cone point, a full greedy
 collapse, or (inconclusively) trivial reduced homology alone. Each collapse
 step finds the lexicographically least free face by one depth-first face
-walk (Complex.greedy_collapse). The retraction and equivariance checks read
-one table of retraction images (separation.retraction_images) and sweep
-every face; none samples. The chain condition counts the faces that have a
-violating subface. The covering checks work on vertex masks: the members of
-the deletion covering and of each star covering are full subcomplexes, so
-every intersection is the parent induced on the AND of their vertex masks.
+walk (Complex.greedy_collapse). Every retraction row reads the complex's
+one table of retraction images, SeparationComplex.retraction_images, which
+is built on first use, and sweeps every face; none samples. The chain
+condition counts the faces that have a violating subface. The covering
+checks work on vertex masks: the members of the deletion covering and of
+each star covering are full subcomplexes, so every intersection is the
+parent induced on the AND of their vertex masks. Every deletion row, the
+members and the union included, reads one table of those masks.
 
 One table, CHECKS, lists the named checks for both `sepcx verify`
 (run_named_check) and `sepcx reproduce-paper` (full_report). Every row,
@@ -34,8 +36,6 @@ from .separation import (
     antipodal_subcomplex,
     build,
     check_enumeration_cap,
-    deletion_covering,
-    retraction_images,
 )
 from .subsets import GENERATORS, MAX_GROUND_SIZE, ground_mask
 
@@ -205,20 +205,15 @@ def antipodal_checks(n: int) -> list[CheckResult]:
 # retraction checks
 # ---------------------------------------------------------------------------
 
-def image_nonempty_violations(sc: SeparationComplex) -> int:
-    """Faces whose retraction image is empty, i.e. where every complementary
-    pair extends both ways or neither way. Zero is the expected answer."""
-    return sum(1 for img in retraction_images(sc).values() if img == 0)
-
-
 def chain_violations(images: dict[int, int], pairs: Sequence[tuple[int, int]]) -> int:
     """Faces with a nonempty proper subface whose image, joined with the
     face's own, holds one of the complementary `pairs`; a violation on any
     chain already shows on such a pair. Exhaustive: U(f), the union of the
     images of the nonempty proper subfaces of f, is the union over v in f of
     img(f - v) | U(f - v), kept for one dimension. Images hold no pair, so f
-    violates iff the partners of img(f) meet U(f). `images` lists the faces
-    by dimension, as retraction_images does.
+    violates iff the partners of img(f) meet U(f). `images` must list the
+    faces by dimension; SeparationComplex.retraction_images, which the
+    chain-condition rows pass, does.
     """
     partners: dict[int, int] = {}
     below, here, size = {}, {0: 0}, 0  # img | U per face, by dimension
@@ -242,24 +237,15 @@ def chain_violations(images: dict[int, int], pairs: Sequence[tuple[int, int]]) -
     return violations
 
 
-def chain_condition_violations(sc: SeparationComplex) -> int:
-    """Faces violating the chain condition; see chain_violations."""
-    return chain_violations(retraction_images(sc), sc.singleton_pair_indices())
-
-
 def _violations_row(check: str, sc: SeparationComplex, violations: int) -> CheckResult:
     scope = f"ss({sc.n})"
     return _row(f"{check} {scope}", scope, 0, violations, witness="violations")
 
 
-def chain_condition_row(sc: SeparationComplex) -> CheckResult:
-    """The chain-condition row: faces with a violating subface, all faces swept."""
-    return _violations_row("chain-condition", sc, chain_condition_violations(sc))
-
-
 def retraction_checks(sc: SeparationComplex) -> list[CheckResult]:
-    """The four retraction rows, each over every face, off one image table."""
-    images = retraction_images(sc)
+    """The four retraction rows, each over every face, off the complex's one
+    image table (SeparationComplex.retraction_images)."""
+    images = sc.retraction_images
     kmask = sum(1 << i for i in sc.antipodal_vertex_indices())
     empty = sum(1 for img in images.values() if img == 0)
     not_fixed = sum(1 for f, img in images.items() if f & ~kmask == 0 and img != f)
@@ -303,7 +289,7 @@ def equivariance_checks(sc: SeparationComplex) -> list[CheckResult]:
     out.append(_row(f"symmetries-preserve-cross-polytope {scope}", scope, True,
                     antipodal_preserved))
     if sc.relation == "ss":
-        images = retraction_images(sc)
+        images = sc.retraction_images
         bad = sum(1 for p in perms for f, img in images.items()
                   if images[permute_mask(f, p)] != permute_mask(img, p))
         out.append(_violations_row("retraction-equivariance", sc, bad))
@@ -350,19 +336,29 @@ def _central_pair(sc: SeparationComplex) -> tuple[int, int]:
     return sc.vertex_index(ends), sc.vertex_index(ground_mask(sc.n) ^ ends)
 
 
-def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
-    """The deletion covering: union, nerve, and every index-subset intersection."""
+def _member_rows(sc: SeparationComplex, masks: dict[int, int]) -> list[CheckResult]:
+    """The members-are-subcomplexes and unions rows, read off the deletion
+    table `masks`: each member's mask is the parent's less one vertex, and
+    every facet of the parent lies inside some member's mask."""
     scope = f"ws({sc.n})"
-    covering = deletion_covering(sc)
-    out = [
+    vm = sc.complex.vertex_mask
+    members = [masks[1 << i] for i in range(2 * (sc.n - 2))]
+    return [
         _row(f"covering-members-are-subcomplexes {scope}", scope, True,
-             covering.members_are_subcomplexes()),
+             all(m & ~vm == 0 and (vm ^ m).bit_count() == 1 for m in members)),
         _row(f"covering-unions-to-complex {scope}", scope, True,
-             covering.covers_parent()),
+             all(any(f & ~m == 0 for m in members) for f in sc.complex.facets)),
     ]
+
+
+def covering_checks(sc: SeparationComplex) -> list[CheckResult]:
+    """The deletion covering: members, union, nerve, and every index-subset
+    intersection, all read off the deletion table."""
+    scope = f"ws({sc.n})"
     masks = _deletion_masks(sc)
+    out = _member_rows(sc, masks)
     nerve_facets = _maximal(smask for smask, m in masks.items() if smask and m)
-    want = len(covering.members)
+    want = 2 * (sc.n - 2)
     out.append(_row(f"covering-nerve-is-simplex {scope}", scope,
                     f"simplex on {want} vertices",
                     f"simplex on {want} vertices" if nerve_facets == ((1 << want) - 1,)
@@ -546,9 +542,12 @@ CHECKS = (
           "retraction checks {rel}({n})", _built_sizes),
     Check("lemma-4-4", ("ss",), _PAPER_SIZES,
           lambda get, n, rel: [_violations_row(
-              "image-nonempty", sc := get(n, rel), image_nonempty_violations(sc))]),
+              "image-nonempty", sc := get(n, rel),
+              sum(1 for img in sc.retraction_images.values() if img == 0))]),
     Check("chain-condition", ("ss",), _PAPER_SIZES,
-          lambda get, n, rel: [chain_condition_row(get(n, rel))]),
+          lambda get, n, rel: [_violations_row(
+              "chain-condition", sc := get(n, rel),
+              chain_violations(sc.retraction_images, sc.singleton_pair_indices()))]),
     Check("equivariance", ("ss", "ws"), _PAPER_SIZES,
           lambda get, n, rel: equivariance_checks(get(n, rel)),
           "equivariance {rel}({n})", _built_sizes),

@@ -29,10 +29,9 @@ from sepcomplex.subsets import (
     weakly_separated,
 )
 from sepcomplex.verify import (
-    chain_condition_violations,
+    chain_violations,
     covering_checks,
     equivariance_checks,
-    image_nonempty_violations,
     star_cover_checks,
 )
 
@@ -160,8 +159,9 @@ def test_criterion_09_vertex_links_not_spherical(ws5, boundary_ws5):
 def test_criterion_10_retraction_wellformedness(ss4, ss5):
     ok = True
     for sc in (ss4, ss5):
-        ok = ok and image_nonempty_violations(sc) == 0
-        ok = ok and chain_condition_violations(sc) == 0
+        images = sc.retraction_images
+        ok = ok and all(images.values())
+        ok = ok and chain_violations(images, sc.singleton_pair_indices()) == 0
     record(10, "image nonempty on every face and chain-safe on every comparable pair "
                "(n=4,5)", ok)
 

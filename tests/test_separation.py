@@ -2,16 +2,14 @@
 and the deletion covering."""
 import pytest
 
-from sepcomplex.complexes import cross_polytope_boundary, isomorphic
+from sepcomplex.complexes import _mask_to_tuple, cross_polytope_boundary, isomorphic
 from sepcomplex.separation import (
     CapExceeded,
     antipodal_subcomplex,
     build,
     deletion_covering,
     enumeration_cap,
-    retraction_image,
     retraction_image_mask,
-    retraction_images,
 )
 from sepcomplex.subsets import (
     GENERATORS,
@@ -146,10 +144,16 @@ def test_antipodal_needs_n4():
 
 # --- retraction data ------------------------------------------------------------
 
+def image_labels(sc, face_labels):
+    """The labels of the table's image of the face on `face_labels`."""
+    image = sc.retraction_images[sum(1 << sc.vertex_index(s) for s in face_labels)]
+    return [sc.label(i) for i in _mask_to_tuple(image)]
+
+
 def test_retraction_worked_example(ss4):
-    assert [ss4.label(i) for i in retraction_image(ss4, ["13"])] == ["3", "134"]
+    assert image_labels(ss4, ["13"]) == ["3", "134"]
     # {2} and {3} do not extend {14}, so the image comes from the complements
-    assert [ss4.label(i) for i in retraction_image(ss4, ["14"])] == ["124", "134"]
+    assert image_labels(ss4, ["14"]) == ["124", "134"]
 
 
 def test_retraction_matches_predicate_oracle(ss4):
@@ -172,31 +176,27 @@ def test_retraction_matches_predicate_oracle(ss4):
 
 
 def test_retraction_identity_on_antipodal_faces(ss4):
-    sub_indices = set(ss4.antipodal_vertex_indices())
-    for fmask in ss4.complex.iter_face_masks():
-        members = [i for i in range(len(ss4.masks)) if fmask >> i & 1]
-        if set(members) <= sub_indices:
-            assert retraction_image(ss4, [ss4.label(i) for i in members]) == tuple(members)
+    kmask = sum(1 << i for i in ss4.antipodal_vertex_indices())
+    fixed = [f for f in ss4.complex.iter_face_masks() if f & ~kmask == 0]
+    assert len(fixed) == 8  # K(4) is a 4-cycle: 4 vertices and 4 edges
+    assert all(ss4.retraction_images[f] == f for f in fixed)
 
 
-def test_retraction_rejects_bad_input(ss4, ws4):
-    with pytest.raises(ValueError):
-        retraction_image(ss4, [])
-    with pytest.raises(ValueError):
-        retraction_image(ss4, ["2", "14"])  # not a face
-    with pytest.raises(ValueError):
-        retraction_image(ws4, ["2"])  # wrong relation
+def test_retraction_rejects_bad_input(ws4):
+    # the table is defined on ss(n) for n >= 4 alone, and says so when read
+    with pytest.raises(ValueError, match="strong-separation"):
+        ws4.retraction_images
+    with pytest.raises(ValueError, match="n >= 4"):
+        build(3, "ss").retraction_images
 
 
-def test_retraction_images_match_per_face(ss4, ss5, ws4):
+def test_retraction_images_match_per_face(ss4, ss5):
     for sc in (ss4, ss5):
-        images = retraction_images(sc)
+        images = sc.retraction_images
         assert list(images) == list(sc.complex.iter_face_masks())
         assert all(img == retraction_image_mask(sc, f) for f, img in images.items())
-    with pytest.raises(ValueError, match="strong-separation"):
-        retraction_images(ws4)
-    with pytest.raises(ValueError, match="n >= 4"):
-        retraction_images(build(3, "ss"))
+        assert all(images.values())  # every image nonempty
+        assert sc.retraction_images is images  # built once, then shared
 
 
 # --- deletion covering ---------------------------------------------------------

@@ -1,6 +1,10 @@
 """The sources keep to the Python version the package declares, use what they
-import, and define nothing that goes unused."""
+import, and define nothing that goes unused; the README names only what
+exists."""
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,54 @@ def test_the_definition_scan_sees_an_unreferenced_name():
     }
     assert unreferenced_definitions(trees, ["pkg/__init__.py", "pkg/mod.py"]) == [
         "pkg/mod.py:C.gone", "pkg/mod.py:dead"]
+
+
+def package_heads():
+    """The package, its modules and their classes, by the name a document
+    uses for them: `sepcomplex`, `verify`, `Complex` and so on."""
+    heads = {"sepcomplex": importlib.import_module("sepcomplex")}
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"sepcomplex.{path.stem}")
+        heads[path.stem] = module
+        heads.update((name, value) for name, value in vars(module).items()
+                     if inspect.isclass(value) and value.__module__ == module.__name__)
+    return heads
+
+
+def unresolved_names(text, heads):
+    """The backticked dotted names in `text` whose head is in `heads` and
+    whose attributes do not resolve with getattr, with the count of names
+    whose head is in `heads`."""
+    named = [name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text)
+             if name.split(".")[0] in heads]
+    unresolved = []
+    for name in named:
+        head, *attrs = name.split(".")
+        value = heads[head]
+        for attr in attrs:
+            value = getattr(value, attr, None)
+            if value is None:
+                unresolved.append(name)
+                break
+    return unresolved, len(named)
+
+
+def test_readme_names_resolve():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    heads = package_heads()
+    assert {"verify", "separation", "Complex", "SeparationComplex"} <= set(heads)
+    unresolved, named = unresolved_names(text, heads)
+    assert unresolved == []
+    for name in ("verify._deletion_masks", "Complex.intersection",
+                 "SeparationComplex.retraction_images"):
+        assert f"`{name}`" in text
+    assert named >= 10
+
+
+def test_the_name_scan_sees_a_stale_name():
+    text = ("`verify.CHECKS`, `verify.gone`, `Complex.from_dict.nope`, "
+            "`sc.anything`, `sepcomplex.separation`, `build(n, relation)`")
+    assert unresolved_names(text, package_heads()) == (
+        ["verify.gone", "Complex.from_dict.nope"], 4)

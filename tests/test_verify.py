@@ -1,6 +1,7 @@
 """The verification layer: check functions, report formatting, the full report."""
 import json
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_complexes import random_clique_complexes
 
-from sepcomplex import verify
+from sepcomplex import separation, verify
 from sepcomplex.complexes import Complex, Covering, _mask_to_tuple, nerve
 from sepcomplex.homology import HomologyGroup
-from sepcomplex.separation import CapExceeded, build, deletion_covering, retraction_images
+from sepcomplex.separation import CapExceeded, build, deletion_covering
 from sepcomplex.subsets import GENERATORS
 from sepcomplex.verify import (
     CHECK_NAMES,
@@ -20,11 +21,10 @@ from sepcomplex.verify import (
     _central_pair,
     _deletion_masks,
     _intersection_masks,
+    _member_rows,
     antipodal_checks,
     any_failed,
     boundary_findings,
-    chain_condition_row,
-    chain_condition_violations,
     chain_violations,
     contractibility_certificate,
     contractibility_shadow,
@@ -33,7 +33,6 @@ from sepcomplex.verify import (
     figure_checks,
     format_results,
     full_report,
-    image_nonempty_violations,
     purity_check,
     results_to_json,
     retraction_checks,
@@ -72,22 +71,42 @@ def test_antipodal_checks():
 
 
 def test_retraction_sweeps(ss4):
-    assert image_nonempty_violations(ss4) == 0
-    assert chain_condition_violations(ss4) == 0
     assert all_pass(retraction_checks(ss4))
+    assert all_pass(run_named_check("lemma-4-4", 4) + run_named_check("chain-condition", 4))
 
 
 def test_retraction_sweeps_n5(ss5):
     assert all_pass(retraction_checks(ss5))
 
 
-def test_chain_condition_witness_states_sampling(ss5, ss6):
-    exhaustive = chain_condition_row(ss5)
-    assert exhaustive.witness == "violations"
-    six = chain_condition_row(ss6)  # every face swept, as at n = 5
-    assert (six.status, six.computed, six.witness) == ("PASS", "0", "violations")
-    assert run_named_check("chain-condition", 5) == [exhaustive]
-    assert [r for r in retraction_checks(ss5) if r.check.startswith("chain")] == [exhaustive]
+def test_named_retraction_rows_are_the_retraction_rows(ss5, ss6):
+    # lemma-4-4 and chain-condition each report one row of `retraction`,
+    # read off the same table; every face is swept at n = 6 as at n = 5
+    for sc in (ss5, ss6):
+        rows = retraction_checks(sc)
+        for name, row in (("lemma-4-4", "image-nonempty"), ("chain-condition", "chain-condition")):
+            check = next(c for c in CHECKS if c.name == name)
+            named = check.run(lambda n, rel: sc, sc.n, "ss")
+            assert named == [r for r in rows if r.check == f"{row} ss({sc.n})"]
+            assert [(r.status, r.computed, r.witness) for r in named] == [
+                ("PASS", "0", "violations")]
+    assert run_named_check("chain-condition", 5) == [
+        r for r in retraction_checks(ss5) if r.check.startswith("chain")]
+
+
+def test_one_image_table_serves_both_check_functions(monkeypatch):
+    calls = Counter()
+    real = separation.retraction_image_mask
+
+    def counted(sc, face_mask):
+        calls[face_mask] += 1
+        return real(sc, face_mask)
+
+    monkeypatch.setattr(separation, "retraction_image_mask", counted)
+    sc = build(5, "ss")
+    assert all_pass(retraction_checks(sc) + equivariance_checks(sc))
+    assert sum(calls.values()) == sum(sc.complex.face_counts()) == 1326
+    assert set(calls.values()) == {1}  # once per face
 
 
 def brute_chain_violations(images, pairs):
@@ -111,7 +130,7 @@ def brute_chain_violations(images, pairs):
 @given(data=st.data())
 def test_chain_violations_match_brute_force(ss4, ss5, data):
     sc = data.draw(st.sampled_from([ss4, ss5]))
-    images = retraction_images(sc)
+    images = dict(sc.retraction_images)  # the fixtures' table is shared: edit a copy
     if data.draw(st.booleans()):
         images = dict.fromkeys(images, 0)
     faces = list(images)
@@ -125,7 +144,7 @@ def test_chain_violations_match_brute_force(ss4, ss5, data):
 
 def test_chain_violations_see_subfaces_two_dimensions_down(ss4, ss5):
     for sc in (ss4, ss5):
-        images = dict.fromkeys(retraction_images(sc), 0)
+        images = dict.fromkeys(sc.retraction_images, 0)
         face = next(f for f in images if f.bit_count() == 3)
         vertex = face & -face
         pairs = sc.singleton_pair_indices()
@@ -136,16 +155,17 @@ def test_chain_violations_see_subfaces_two_dimensions_down(ss4, ss5):
 
 
 def test_retraction_sweeps_reject_ws(ws4):
-    with pytest.raises(ValueError):
-        image_nonempty_violations(ws4)
-    with pytest.raises(ValueError):
-        chain_condition_violations(ws4)
+    with pytest.raises(ValueError, match="strong-separation"):
+        retraction_checks(ws4)
+    lemma = next(c for c in CHECKS if c.name == "lemma-4-4")
+    with pytest.raises(ValueError, match="strong-separation"):
+        lemma.run(lambda n, rel: ws4, 4, "ws")
 
 
 def test_retraction_sweeps_guard_small_ground_sets():
-    with pytest.raises(ValueError):
-        image_nonempty_violations(build(3, "ss"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n >= 4"):
+        retraction_checks(build(3, "ss"))
+    with pytest.raises(ValueError, match="n >= 4"):
         equivariance_checks(build(3, "ss"))
 
 
@@ -167,19 +187,24 @@ def test_retraction_equivariance_over_the_whole_group(ss4, ss5, monkeypatch):
     # oracle: the two generators and their composite, each swept over every
     # face; the row sweeps the generators alone and must agree
     for sc in (ss4, ss5):
-        images = retraction_images(sc)
+        images = sc.retraction_images
         c, r = (sc.vertex_permutation(g) for g in GENERATORS)
         composite = tuple(c[r[v]] for v in range(len(r)))
         for perm in (c, r, composite):
             assert not any(images[_permuted(f, perm)] != _permuted(img, perm)
                            for f, img in images.items())
         assert _equivariance_row(sc).computed == "0"
-        altered = dict(images)
-        altered[next(iter(altered))] = 0  # every true image is nonempty
+        # the fixture's table is shared, so the altered one is built on a
+        # fresh complex: its first image emptied (every true image is nonempty)
+        fresh, first = build(sc.n, "ss"), next(iter(images))
+        real = separation.retraction_image_mask
         with monkeypatch.context() as m:
-            m.setattr(verify, "retraction_images", lambda _: altered)
-            row = _equivariance_row(sc)
+            m.setattr(separation, "retraction_image_mask",
+                      lambda cx, f: 0 if f == first else real(cx, f))
+            row = _equivariance_row(fresh)
+        assert fresh.retraction_images[first] == 0 and images[first] != 0
         assert row.status == "FAIL" and int(row.computed) > 0
+        assert _equivariance_row(sc).computed == "0"
 
 
 def test_ws5_certificate_row(ws5):
@@ -198,9 +223,30 @@ def test_covering_checks_n4(ws4):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_deletion_masks_are_the_covering_table(n):
     sc = build(n, "ws")
-    members = [m.vertex_mask for m in deletion_covering(sc).members]
+    covering = deletion_covering(sc)
+    members = [m.vertex_mask for m in covering.members]
     reference = _intersection_masks(sc.complex.vertex_mask, members)
     assert list(_deletion_masks(sc).items()) == list(reference.items())
+    # the member and union rows, read off the table, agree with the facets
+    subcomplexes, unions = _member_rows(sc, _deletion_masks(sc))
+    assert subcomplexes.computed == str(covering.members_are_subcomplexes()) == "True"
+    assert unions.computed == str(covering.covers_parent()) == "True"
+
+
+def test_member_rows_fail_on_a_doctored_table(ws4, monkeypatch):
+    vm = ws4.complex.vertex_mask
+    facet = ws4.complex.facets[0]
+    v = facet & -facet
+    # every member deletes the same vertex of `facet`, so none holds the facet
+    missing = _intersection_masks(vm, [vm & ~v] * 4)
+    monkeypatch.setattr(verify, "_deletion_masks", lambda sc: missing)
+    subcomplexes, unions = covering_checks(ws4)[:2]
+    assert (subcomplexes.check, subcomplexes.status) == (
+        "covering-members-are-subcomplexes ws(4)", "PASS")
+    assert (unions.check, unions.status) == ("covering-unions-to-complex ws(4)", "FAIL")
+    # a member that deletes nothing is no deletion of one vertex
+    subcomplexes, unions = _member_rows(ws4, _intersection_masks(vm, [vm] + [vm & ~v] * 3))
+    assert (subcomplexes.status, unions.status) == ("FAIL", "PASS")
 
 
 def test_central_pair_spans_the_central_star(ws4, ws5):
