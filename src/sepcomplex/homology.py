@@ -1,10 +1,13 @@
 """Exact reduced simplicial homology over the integers.
 
 Boundary operators are sparse integer matrices, brought to Smith normal form
-by a two-phase elimination: a sparse phase that pivots only on +-1 entries
-(chosen by a Markowitz fill estimate, so the reduction stays fraction-free
-and fast on boundary matrices), then a dense textbook phase on whatever small
-residue is left. All arithmetic is arbitrary-precision.
+by a three-phase elimination. The peel pivots on each +-1 entry alone in its
+row (a free face, the elementary collapse of Kaczynski-Mrozek-Slusarek),
+which deletes its column and causes no fill, until no such row is left. A
+Markowitz phase then pivots on the remaining +-1 entries, cheapest fill
+estimate first from a heap, so the reduction stays fraction-free. A dense
+textbook phase takes whatever small residue is left. All arithmetic is
+arbitrary-precision.
 
 Only the face lists of the complex are kept. Each operator is built from them
 when it is needed, one at a time, as the implicit boundary matrix of Ripser
@@ -13,15 +16,19 @@ the elimination, just before it reduces b_d, and drops it before b_{d-1}.
 
 `reduced_homology` reduces the operators from the top dimension down with
 clearing (the twist of Chen-Kerber and Bauer-Kerber-Reininghaus): a d-face
-whose row held a +-1 pivot of the sparse phase of b_{d+1} is skipped as a
-column of b_d. The pivot block has determinant +-1 and b_d b_{d+1} = 0, so a
-skipped column is an integer combination of the kept ones; the column lattice
-of b_d, and with it its rank and invariant factors, is unchanged. Pivots of
-the dense phase need not be units and never clear a column.
+whose row held a +-1 pivot of b_{d+1}, in the peel or the Markowitz phase, is
+skipped as a column of b_d. A peel pivot is a unit pivot of the same
+elimination whose pivot row has no other entry, so its row operations only
+zero the rest of its column, and the pivot block still has determinant +-1.
+With b_d b_{d+1} = 0, a skipped column is then an integer combination of the
+kept ones; the column lattice of b_d, and with it its rank and invariant
+factors, is unchanged. Pivots of the dense phase need not be units and never
+clear a column.
 """
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,7 +175,48 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
                       ) -> tuple[int, tuple[int, ...], list[int]]:
     """Rank and invariant factors of the matrix with `nrows` rows and the
     columns `cols` ({row: value} dicts, reduced in place), and the rows where
-    the sparse phase pivoted on a +-1 entry."""
+    the peel or the Markowitz phase pivoted on a +-1 entry.
+
+    The peel pivots on each +-1 entry alone in its row, deleting its column,
+    until no such row is left. It keeps per row only the number of live
+    entries and the XOR of their column indices, which for a row with one
+    entry is that entry's column. Only the surviving columns enter the row
+    dicts and the heap of the Markowitz phase, and what that leaves goes to
+    `_dense_snf`.
+
+    The rows wait in a first-in first-out queue: the rows in index order,
+    then each row as it drops to one entry. The order decides which of two
+    singleton rows on one column pivots, and so which columns clearing
+    removes from the next operator down. In this order the peel takes all
+    205200 pivots of ws(6) and all but 207 of the 93600 of ss(6); popping the
+    rows as a stack left 45140 of the ws(6) pivots to the Markowitz phase,
+    which made 589646 fill entries.
+    """
+    pivot_rows: list[int] = []
+    count = [0] * nrows
+    xor = [0] * nrows
+    for j, col in enumerate(cols):
+        for i in col:
+            count[i] += 1
+            xor[i] ^= j
+    queue = deque(i for i, c in enumerate(count) if c == 1)
+    while queue:
+        pi = queue.popleft()
+        if count[pi] != 1:
+            continue  # its column went with an earlier peel pivot
+        pj = xor[pi]
+        pcol = cols[pj]
+        v = pcol[pi]
+        if v != 1 and v != -1:
+            continue  # left to the later phases
+        for r in pcol:
+            count[r] -= 1
+            xor[r] ^= pj
+            if count[r] == 1:
+                queue.append(r)
+        pcol.clear()
+        pivot_rows.append(pi)
+
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for j, col in enumerate(cols):
         for i, v in col.items():
@@ -183,7 +231,6 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
 
     row_alive = bytearray(b"\x01") * nrows
     col_alive = bytearray(b"\x01") * len(cols)
-    pivot_rows: list[int] = []
 
     while heap:
         cost, pi, pj = heapq.heappop(heap)

@@ -1,10 +1,11 @@
 """Integer homology: Smith form against a textbook oracle, known spaces,
-the rational-rank cross-check, and cleared against uncleared reduction."""
+the rational-rank cross-check, the free-face peel, and cleared against
+uncleared reduction."""
 import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_complexes import random_clique_complexes, random_facet_complexes
 
@@ -214,6 +215,71 @@ def test_snf_matches_oracle_on_random_matrices():
         rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         got = list(smith_normal_form(from_rows(rows)))
         assert got == oracle_snf(rows), rows
+
+
+@st.composite
+def peelable_matrices(draw):
+    """Sparse matrices up to 8 x 8 with planted row singletons: a chain of
+    rows r_0, r_1, ... where r_t is a singleton once the columns of r_0 ..
+    r_{t-1} are gone, some of them with non-unit values, plus zero rows and
+    zero columns."""
+    nr = draw(st.integers(1, 8))
+    nc = draw(st.integers(1, 8))
+    values = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    rows = [[0] * nc for _ in range(nr)]
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1),
+                                           values), max_size=nr * nc // 2)):
+        rows[i][j] = v
+    k = draw(st.integers(0, min(nr, nc)))
+    chain_rows = draw(st.permutations(range(nr)))[:k]
+    chain_cols = draw(st.permutations(range(nc)))[:k]
+    for t, (r, c) in enumerate(zip(chain_rows, chain_cols)):
+        rows[r] = [0] * nc
+        rows[r][c] = draw(st.sampled_from([1, -1, 1, -1, 2, -2, 3]))
+        for earlier in chain_cols[:t]:
+            if draw(st.booleans()):
+                rows[r][earlier] = draw(values)
+    for i in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
+        rows[i] = [0] * nc
+    for j in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(peelable_matrices())
+@example([[2, 0, 0], [1, 3, 0], [0, 1, 0]])  # non-unit singleton, zero column
+@example([[-1, 0, 0], [4, 1, 0], [2, 6, -1], [0, 0, 0]])  # cascade, zero row
+@example([[0, 3, 0], [1, 0, 0], [5, 2, 0]])  # cascade ends on a non-unit singleton
+def test_snf_with_row_singletons_matches_oracle_and_rational_rank(rows):
+    m = from_rows(rows)
+    factors = smith_normal_form(m)
+    assert list(factors) == oracle_snf(rows)
+    assert len(factors) == homology._rank_over_rationals(m)
+
+
+def test_peel_leaves_the_heap_little_or_nothing(ws4, ws5, ss5, monkeypatch):
+    """The peel pivots every column of the contractible ws(4), ws(5), and
+    leaves to the Markowitz heap under a tenth of the 2825 unit entries that
+    all of ss(5) would put there."""
+    lengths = []
+    real = homology.heapq.heapify
+
+    def recording(heap):
+        lengths.append(len(heap))
+        real(heap)
+
+    monkeypatch.setattr(homology.heapq, "heapify", recording)
+    for sc in (ws4, ws5):
+        lengths.clear()
+        groups = reduced_homology(sc.complex)
+        assert groups and all(g.is_trivial for g in groups)
+        assert set(lengths) <= {0}
+    lengths.clear()
+    groups = reduced_homology(ss5.complex)
+    assert [str(g) for g in groups] == ["0", "0", "Z", "0", "0", "0"]
+    assert sum(lengths) < 283
 
 
 def test_snf_divisibility_chain():
