@@ -6,8 +6,8 @@ induced, intersection) preserve vertex indices. Complexes built from a graph
 carry the adjacency masks along; induced-type operations keep that structure,
 which speeds up face enumeration and membership tests.
 
-Every face enumeration, homology's boundary matrices included, reads the one
-walker Complex.face_levels: a clique walk with a graph, facet subsets without.
+Every face enumeration (boundary matrices, the collapse) reads the one walker
+Complex.face_levels: a clique walk with a graph, facet subsets without.
 """
 from __future__ import annotations
 
@@ -68,30 +68,25 @@ def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _least_free_face(face: int, above: int, containers: list[int]) -> tuple[int, int] | None:
-    """The lexicographically least free face extending `face` by vertices in
-    `above`, with its one facet; None if there is none.
+def _least_dominated_face(cx: "Complex") -> int | None:
+    """The first face of `cx` in face_levels order whose facets share a
+    vertex outside it; None if no face is dominated.
 
-    `containers` are the facets holding `face`: two or more, or every facet
-    at the root (face 0, above -1). Extensions are tried in ascending vertex
-    order and each is walked before the next, so faces come in lexicographic
-    order of their vertex tuples.
+    A vertex shared by every facet holding the face lies in the first of
+    them, so only that facet's other vertices are tested.
     """
-    union = 0
-    for f in containers:
-        union |= f
-    rest = union & above
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        inside = [f for f in containers if f & low]
-        child = face | low
-        if len(inside) > 1:
-            found = _least_free_face(child, -(low << 1), inside)
-            if found is not None:
-                return found
-        elif inside[0] != child:
-            return child, inside[0]
+    holders = [0] * len(cx.labels)  # per vertex, the indices of its facets
+    for i, f in enumerate(cx.facets):
+        for v in _mask_to_tuple(f):
+            holders[v] |= 1 << i
+    for level in cx.face_levels():
+        for m in level:
+            inside = -1
+            for v in _mask_to_tuple(m):
+                inside &= holders[v]
+            first = cx.facets[(inside & -inside).bit_length() - 1]
+            if any(not inside & ~holders[w] for w in _mask_to_tuple(first & ~m)):
+                return m
     return None
 
 
@@ -349,34 +344,30 @@ class Complex:
     # -- collapsing ----------------------------------------------------------
 
     def greedy_collapse(self) -> "CollapseOutcome":
-        """Repeatedly remove the lexicographically least free face with its facet.
+        """Repeatedly delete every face containing the least dominated face.
 
-        A free face is a non-maximal face contained in exactly one facet.
-        Each step finds it with one depth-first walk over the faces in
-        lexicographic order of their vertex tuples: a face carries the
-        facets containing it, only faces in two or more facets are extended
-        (by vertices above their top vertex, ascending), and the walk stops
-        at the first face in exactly one facet that is not that facet.
-        Reaching a single vertex certifies contractibility; getting stuck
-        decides nothing.
+        A face is dominated when all the facets containing it share a vertex
+        outside it. Deleting the faces that contain it is then a collapse: a
+        strong collapse for a vertex (Barmak-Minian), an edge collapse for an
+        edge (Boissonnat-Pritam), and an elementary collapse for a free face,
+        the one-facet case. "Least" is face_levels order: smallest size
+        first, then lexicographic in the sorted vertex tuples. Each step
+        replaces the facets containing the face by their subsets with one of
+        its vertices removed. A facet is never dominated. Reaching a single
+        vertex certifies contractibility; getting stuck decides nothing.
         """
-        facets = set(self.facets)
+        facets = self.facets
         steps = 0
         while True:
-            if len(facets) == 1 and next(iter(facets)).bit_count() == 1:
+            if len(facets) == 1 and facets[0].bit_count() == 1:
                 return CollapseOutcome("collapsed-to-point", 1, steps)
-            found = _least_free_face(0, -1, list(facets))
-            if found is None:
+            face = _least_dominated_face(Complex._trusted(self.labels, facets, None))
+            if face is None:
                 return CollapseOutcome("stuck", len(facets), steps)
-            sm, big = found
-            facets.remove(big)
-            rest = sm
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                cand = big ^ low
-                if cand and not any(cand & ~g == 0 for g in facets):
-                    facets.add(cand)
+            kept = [f for f in facets if f & face != face]
+            kept += [f ^ (1 << v) for f in facets if f & face == face
+                     for v in _mask_to_tuple(face)]
+            facets = _maximal(kept)
             steps += 1
 
     # -- serialization ---------------------------------------------------------

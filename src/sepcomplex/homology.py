@@ -167,15 +167,14 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     cols: list[dict[int, int]] = [{} for _ in range(m.ncols)]
     for (i, j), v in m.entries.items():
         cols[j][i] = v
-    _, factors, _ = _rank_and_factors(m.nrows, cols)
-    return factors
+    return _rank_and_factors(m.nrows, cols)[0]
 
 
 def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
-                      ) -> tuple[int, tuple[int, ...], list[int]]:
-    """Rank and invariant factors of the matrix with `nrows` rows and the
-    columns `cols` ({row: value} dicts, reduced in place), and the rows where
-    the peel or the Markowitz phase pivoted on a +-1 entry.
+                      ) -> tuple[tuple[int, ...], list[int]]:
+    """Invariant factors of the matrix with `nrows` rows and the columns
+    `cols` ({row: value} dicts, reduced in place), one per unit of rank, and
+    the rows where the peel or the Markowitz phase pivoted on a +-1 entry.
 
     The peel pivots on each +-1 entry alone in its row, deleting its column,
     until no such row is left. It keeps per row only the number of live
@@ -274,9 +273,8 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
         col_alive[pj] = 0
         pivot_rows.append(pi)
 
-    rank = len(pivot_rows)
     residual_rows = [i for i in range(nrows) if row_alive[i] and rows[i]]
-    factors = [1] * rank
+    factors = [1] * len(pivot_rows)
     if residual_rows:
         residual_cols = sorted({j for i in residual_rows for j in rows[i]})
         cmap = {j: k for k, j in enumerate(residual_cols)}
@@ -284,10 +282,8 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
         for a, i in enumerate(residual_rows):
             for j, v in rows[i].items():
                 dense[a][cmap[j]] = v
-        extra = _dense_snf(dense)
-        rank += len(extra)
-        factors.extend(extra)
-    return rank, tuple(factors), pivot_rows
+        factors.extend(_dense_snf(dense))
+    return tuple(factors), pivot_rows
 
 
 def _dense_snf(mat: list[list[int]]) -> list[int]:
@@ -364,7 +360,8 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
     torsions: list[tuple[int, ...]] = [()] * (top + 1)
     cleared: frozenset[int] = frozenset()
     for d in reversed(range(top)):
-        ranks[d], factors, pivot_rows = _rank_and_factors(ops.nrows(d), ops.columns(d, cleared))
+        factors, pivot_rows = _rank_and_factors(ops.nrows(d), ops.columns(d, cleared))
+        ranks[d] = len(factors)
         torsions[d] = tuple(t for t in factors if t > 1)
         cleared = frozenset(pivot_rows)
     return [HomologyGroup(len(faces) - ranks[d] - ranks[d + 1], torsions[d + 1])

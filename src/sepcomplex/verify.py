@@ -4,10 +4,11 @@ Each check compares a computed quantity against a frozen expected value and
 yields a CheckResult row. Contractibility-style claims are never decided;
 they are certified in decreasing strength: a cone point, a full greedy
 collapse, or (inconclusively) trivial reduced homology alone. Each collapse
-step finds the lexicographically least free face by one depth-first face
-walk (Complex.greedy_collapse). Every retraction row reads the complex's
-one table of retraction images, SeparationComplex.retraction_images, which
-is built on first use, and sweeps every face; none samples. The chain
+step deletes the faces containing the least dominated face, one whose facets
+share a vertex outside it, in face_levels order (Complex.greedy_collapse).
+Every retraction row reads the complex's one table of retraction images,
+SeparationComplex.retraction_images, which is built on first use, and
+sweeps every face; none samples. The chain
 condition counts the faces that have a violating subface. The covering
 checks work on vertex masks: the members of the deletion covering and of
 each star covering are full subcomplexes, so every intersection is the
@@ -150,21 +151,19 @@ def figure_checks(get: Builder = build) -> list[CheckResult]:
 # homology shadows
 # ---------------------------------------------------------------------------
 
-def contractibility_shadow(sc: SeparationComplex, with_collapse: bool = True) -> list[CheckResult]:
-    """Trivial reduced homology, plus a collapse certificate where feasible."""
+def contractibility_shadow(sc: SeparationComplex) -> list[CheckResult]:
+    """Trivial reduced homology, plus a greedy collapse certificate."""
     scope = f"{sc.relation}({sc.n})"
     groups = reduced_homology(sc.complex)
     trivial = all(g.is_trivial for g in groups)
-    out = [_row(f"homology-trivial {scope}", scope, True, trivial,
-                witness=_homology_str(groups) if not trivial else "")]
-    if with_collapse:
-        outcome = sc.complex.greedy_collapse()
-        # a stuck collapse decides nothing; only n=4 is pinned to succeed
-        out.append(_row(f"collapse-certificate {scope}", scope,
-                        "collapsed-to-point", outcome.status,
-                        witness=f"{outcome.steps} steps",
-                        inconclusive=sc.n >= 5))
-    return out
+    outcome = sc.complex.greedy_collapse()
+    # a stuck collapse decides nothing; only n=4 is pinned to succeed
+    return [_row(f"homology-trivial {scope}", scope, True, trivial,
+                 witness=_homology_str(groups) if not trivial else ""),
+            _row(f"collapse-certificate {scope}", scope,
+                 "collapsed-to-point", outcome.status,
+                 witness=f"{outcome.steps} steps",
+                 inconclusive=sc.n >= 5)]
 
 
 def sphere_shadow(sc: SeparationComplex) -> CheckResult:
@@ -301,7 +300,9 @@ def equivariance_checks(sc: SeparationComplex) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def contractibility_certificate(cx: Complex) -> str:
-    """Strongest available certificate: cone-point, collapsed-to-point, or none."""
+    """Strongest available certificate: "cone-point" if a vertex lies in every
+    facet, else "collapsed-to-point" if Complex.greedy_collapse (dominated
+    faces) reaches a vertex, else "none"."""
     if cx.cone_points():
         return "cone-point"
     if cx.greedy_collapse().collapsed:
@@ -592,8 +593,7 @@ def full_report(nmax: int = 5,
     """Every machine check up to ground size nmax, 4 <= nmax <= 6: the rows
     of CHECKS that the report runs, in table order and sharing the complexes
     they build, then at nmax = 6 the purity and sphere homology of ss(6) and
-    the homology of ws(6). The ws(6) greedy collapse succeeds but is left
-    out: it takes over a minute, against seconds for the rest of the report.
+    the contractibility shadow of ws(6): its homology and its collapse.
     """
     if not 4 <= nmax <= 6:
         raise ValueError(f"the report runs at 4 <= n <= 6, got n = {nmax}")
@@ -612,5 +612,5 @@ def full_report(nmax: int = 5,
         results.append(purity_check(ss6))
         results.append(sphere_shadow(ss6))
         say("contractibility shadow ws(6)")
-        results.extend(contractibility_shadow(build(6, "ws"), with_collapse=False))
+        results.extend(contractibility_shadow(build(6, "ws")))
     return results

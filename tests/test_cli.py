@@ -398,7 +398,7 @@ def test_reproduce_paper_n4_is_byte_identical(capsys):
                                 "--format", "json", "--progress")
     assert code == 0
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
-        "4d9c411709a77d7736733e000c31fbdd42796981befafd443805777fc33931cd")
+        "ae32888c1b11f8b43d1bd9dc7bc6468511303cfd7cb0cac85add0ce4bea7119f")
     assert err.splitlines() == [f"... {stage}" for stage in REPORT_N4_STAGES]
 
 
@@ -418,5 +418,5 @@ def test_reproduce_paper_n5_is_byte_identical(capsys):
                                 "--format", "json", "--progress")
     assert code == 0
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
-        "c3847b0398fcad0ee7a2fa1a1eead830dcd8410a09a81c01deadf5f823c56430")
+        "4655f47bd3e9766a3faf9efa5c2b117f4a9751c0cfdd7d9cd84cdae97ae9b9b2")
     assert err.splitlines() == [f"... {stage}" for stage in REPORT_N5_STAGES]

@@ -2,11 +2,13 @@
 import json
 import re
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sepcomplex import build, complexes
 from sepcomplex.complexes import (
     CollapseOutcome,
     Complex,
@@ -18,6 +20,7 @@ from sepcomplex.complexes import (
     isomorphic,
     nerve,
 )
+from sepcomplex.homology import betti_rational
 from sepcomplex.subsets import separation_graph, subset_str
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -314,46 +317,6 @@ def test_collapse_is_deterministic(ws4):
     assert a == b
 
 
-def subset_scan_collapse(self):
-    """The earlier greedy_collapse, kept verbatim as the oracle: each step
-    scans the sorted subsets of every facet for the least free face."""
-    facets = set(self.facets)
-    steps = 0
-    while True:
-        if len(facets) == 1 and next(iter(facets)).bit_count() == 1:
-            return CollapseOutcome("collapsed-to-point", 1, steps)
-        best: tuple[tuple[int, ...], int, int] | None = None
-        for big in sorted(facets):
-            others = [big & g for g in facets if g != big]
-            others = [o for o in set(others) if o]
-            t = _mask_to_tuple(big)
-            subs: list[tuple[int, ...]] = []
-            for k in range(1, len(t)):
-                subs.extend(combinations(t, k))
-            subs.sort()
-            for sub in subs:
-                if best is not None and sub >= best[0]:
-                    break
-                sm = 0
-                for v in sub:
-                    sm |= 1 << v
-                if not any(sm & ~o == 0 for o in others):
-                    best = (sub, sm, big)
-                    break
-        if best is None:
-            return CollapseOutcome("stuck", len(facets), steps)
-        _, sm, big = best
-        facets.remove(big)
-        rest = sm
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand = big ^ low
-            if cand and not any(cand & ~g == 0 for g in facets):
-                facets.add(cand)
-        steps += 1
-
-
 @st.composite
 def random_clique_complexes(draw):
     """Clique complex of a random graph on at most 9 vertices."""
@@ -378,14 +341,78 @@ def random_facet_complexes(draw):
     return Complex([str(i) for i in range(n)], draw(st.lists(facet, max_size=10)))
 
 
+def dominated(faces, sigma):
+    """Some vertex w outside sigma makes tau | {w} a face for every face tau
+    containing sigma: the link of sigma is a cone."""
+    holding = [tau for tau in faces if sigma <= tau]
+    apexes = set().union(*holding) - sigma
+    return any(all(tau | {w} in faces for tau in holding) for w in apexes)
+
+
+def face_order(face):
+    """The documented order of greedy_collapse: size, then sorted vertex tuple."""
+    return len(face), tuple(sorted(face))
+
+
+def record_collapse(cx):
+    """Run greedy_collapse, logging each step's facet set and the face the
+    dominated-face finder returns for it."""
+    log = []
+    finder = complexes._least_dominated_face
+
+    def recorder(step):
+        face = finder(step)
+        log.append((step.facets, face))
+        return face
+
+    with mock.patch.object(complexes, "_least_dominated_face", recorder):
+        return cx.greedy_collapse(), log
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(random_clique_complexes(), random_facet_complexes()))
 @example(Complex.empty())
 @example(Complex(list("abc"), [(0,), (1,), (2,)]))
 @example(Complex(list("abcd"), [(0, 1, 2), (3,)]))
 @example(Complex(list("a"), [(0,)]))
-def test_greedy_collapse_matches_subset_scan(cx):
-    assert cx.greedy_collapse() == subset_scan_collapse(cx)
+@example(SQUARE)
+@example(Complex(list("abcd"), [(0, 1, 2), (1, 2, 3)]))
+def test_greedy_collapse_deletes_least_dominated_faces(cx):
+    outcome, log = record_collapse(cx)
+    assert outcome.steps == sum(face is not None for _, face in log)
+    for i, (facets, face) in enumerate(log):
+        faces = face_set(Complex(cx.labels, [_mask_to_tuple(f) for f in facets]))
+        earlier = faces if face is None else {
+            tau for tau in faces if face_order(tau) < face_order(set(_mask_to_tuple(face)))}
+        assert not any(dominated(faces, tau) for tau in earlier)
+        if face is None:
+            continue
+        sigma = frozenset(_mask_to_tuple(face))
+        assert sigma in faces and face not in facets
+        assert dominated(faces, sigma)
+        after = {tau for tau in faces if not sigma <= tau}
+        if i + 1 < len(log):
+            assert after == face_set(Complex(cx.labels, map(_mask_to_tuple, log[i + 1][0])))
+        else:  # the step that reached a vertex
+            assert outcome.collapsed and len(after) == 1
+    if outcome.collapsed:
+        assert not any(betti_rational(cx))
+
+
+# The 8-vertex dunce hat: a triangle whose sides, each cut into 1-2-3-1,
+# are glued as a a a^-1. It is contractible, yet every edge lies in two or
+# three triangles and no vertex link is a cone.
+DUNCE_HAT = Complex([str(v) for v in range(1, 9)], [
+    tuple(v - 1 for v in t) for t in (
+        (1, 2, 4), (1, 2, 7), (1, 2, 8), (1, 3, 5), (1, 3, 6), (1, 3, 8),
+        (1, 4, 7), (1, 5, 6), (2, 3, 5), (2, 3, 6), (2, 3, 7), (2, 4, 6),
+        (2, 5, 8), (3, 7, 8), (4, 6, 8), (4, 7, 8), (5, 6, 8))])
+
+
+def test_collapse_dunce_hat_sticks():
+    assert DUNCE_HAT.face_counts() == (8, 24, 17)
+    assert not any(betti_rational(DUNCE_HAT))
+    assert DUNCE_HAT.greedy_collapse() == CollapseOutcome("stuck", 17, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,8 +433,10 @@ def test_star_link_and_deletion_identities(cx, data):
 
 
 def test_greedy_collapse_paper_values(ws4, ws5):
-    assert ws4.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 12)
-    assert ws5.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 433)
+    assert ws4.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 8)
+    assert ws5.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 23)
+    ws6 = build(6, "ws").complex
+    assert ws6.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 55)
 
 
 # --- isomorphism ------------------------------------------------------------------------

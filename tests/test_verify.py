@@ -478,8 +478,9 @@ def test_full_report_six_ends_with_the_n6_rows(monkeypatch, ss6):
 
     monkeypatch.setattr(verify, "reduced_homology", stub)
     results = full_report(6)
-    assert [r.check for r in results[-3:]] == [
-        "pure-of-dimension ss(6)", "sphere-homology ss(6)", "homology-trivial ws(6)"]
+    assert [r.check for r in results[-4:]] == [
+        "pure-of-dimension ss(6)", "sphere-homology ss(6)", "homology-trivial ws(6)",
+        "collapse-certificate ws(6)"]
     assert all(r.status == "PASS" for r in results)
 
 
