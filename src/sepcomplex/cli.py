@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .complexes import Complex
 from .homology import format_homology, homology_summary, reduced_homology
-from .separation import CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP, CapExceeded, build, enumeration_cap
+from .separation import DEFAULT_ENUMERATION_CAP, CapExceeded, build, check_enumeration_cap
 from .verify import (
     CHECK_NAMES,
     any_failed,
@@ -42,7 +42,7 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_complex(path: str, cap: int | None) -> tuple[Complex, int | None, str | None]:
+def _load_complex(path: str, cap: int) -> tuple[Complex, int | None, str | None]:
     """Read a complex file. Face enumeration walks every subset of every
     facet, so the cap bounds that work: a facet may have at most
     C(cap - 1, 2) vertices, the facet size of the ss and ws complexes at the
@@ -54,7 +54,7 @@ def _load_complex(path: str, cap: int | None) -> tuple[Complex, int | None, str 
         except RecursionError:
             raise ValueError("complex JSON is nested too deeply") from None
     cx = Complex.from_dict(data)
-    cap = enumeration_cap(cap)
+    check_enumeration_cap(0, cap)  # a file has no ground size to bound: check the cap alone
     most, size = comb(cap - 1, 2), cx.dimension() + 1
     if size > most:
         raise CapExceeded(f"a facet of {size} vertices exceeds {most}, the facet size "
@@ -91,6 +91,8 @@ def _parse_face(cx: Complex, text: str) -> list[int]:
     for token in tokens:
         if token not in labels:
             raise ValueError(f"{token!r} is not a vertex label of this complex")
+        if labels[token] in face:
+            raise ValueError(f"{token!r} is repeated in the face")
         face.append(labels[token])
     return face
 
@@ -175,9 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="complex JSON file (alternative to --n/--relation)")
         p.add_argument("--n", type=int, default=None, help="ground set size")
         p.add_argument("--relation", choices=("ws", "ss"), default=None)
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"enumeration cap override (default {CAP_ENV_VAR} "
-                            f"or {DEFAULT_ENUMERATION_CAP})")
+        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                       help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("build", help="build a separation complex and write JSON")
@@ -210,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=CHECK_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--relation", choices=("ws", "ss"), default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)

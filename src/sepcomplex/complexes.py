@@ -578,18 +578,18 @@ def nerve(covering: Covering) -> Complex:
 def isomorphic(x: Complex, y: Complex) -> dict[int, int] | None:
     """Search for a facet-preserving vertex bijection; None if there is none.
 
-    Exact backtracking over present vertices, pruned by facet-size profiles
-    and 1-skeleton adjacency. Intended for small complexes.
+    Exact backtracking over present vertices, for small complexes: the
+    vertices of x, in ascending order, each map to an unused vertex of y of
+    equal 1-skeleton degree that keeps adjacency and non-adjacency with the
+    vertices already mapped. A complete map is accepted if it sends every
+    facet of x to a facet of y; with equal facet counts it is then a bijection
+    on facets.
     """
     vx, vy = x.vertices(), y.vertices()
     if len(vx) != len(vy) or len(x.facets) != len(y.facets):
         return None
-    if max(len(vx), len(vy)) > ISOMORPHISM_VERTEX_CAP:
+    if len(vx) > ISOMORPHISM_VERTEX_CAP:
         raise ValueError(f"isomorphism search capped at {ISOMORPHISM_VERTEX_CAP} vertices")
-    if sorted(f.bit_count() for f in x.facets) != sorted(f.bit_count() for f in y.facets):
-        return None
-    if x.face_counts() != y.face_counts():
-        return None
 
     def skeleton(c: Complex, verts: tuple[int, ...]) -> dict[int, int]:
         adj = {v: 0 for v in verts}
@@ -601,22 +601,8 @@ def isomorphic(x: Complex, y: Complex) -> dict[int, int] | None:
         return adj
 
     adjx, adjy = skeleton(x, vx), skeleton(y, vy)
-
-    def profile(c: Complex, adj: dict[int, int]) -> dict[int, tuple]:
-        prof = {}
-        for v in adj:
-            sizes = sorted(f.bit_count() for f in c.facets if f >> v & 1)
-            prof[v] = (adj[v].bit_count(), tuple(sizes))
-        return prof
-
-    px, py = profile(x, adjx), profile(y, adjy)
-    cands = {v: [w for w in vy if py[w] == px[v]] for v in vx}
-    if any(not c for c in cands.values()):
-        return None
-    order = sorted(vx, key=lambda v: (len(cands[v]), v))
     y_facets = set(y.facets)
     mapping: dict[int, int] = {}
-    used = set()
 
     def translate(mask: int) -> int:
         out = 0
@@ -628,25 +614,20 @@ def isomorphic(x: Complex, y: Complex) -> dict[int, int] | None:
         return out
 
     def backtrack(i: int) -> bool:
-        if i == len(order):
+        if i == len(vx):
             return all(translate(f) in y_facets for f in x.facets)
-        v = order[i]
-        for w in cands[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, fu in mapping.items():
-                if (adjx[v] >> u & 1) != (adjy[w] >> fu & 1):
-                    ok = False
-                    break
-            if not ok:
+        v = vx[i]
+        degree = adjx[v].bit_count()
+        used = set(mapping.values())
+        for w in vy:
+            if (w in used or adjy[w].bit_count() != degree
+                    or any((adjx[v] >> u & 1) != (adjy[w] >> fu & 1)
+                           for u, fu in mapping.items())):
                 continue
             mapping[v] = w
-            used.add(w)
             if backtrack(i + 1):
                 return True
             del mapping[v]
-            used.remove(w)
         return False
 
     if backtrack(0):

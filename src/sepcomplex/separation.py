@@ -7,7 +7,6 @@ and ordered canonically by mask value.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -16,36 +15,19 @@ from .complexes import Complex, Covering, clique_complex
 from .subsets import separation_graph, subset_str
 
 DEFAULT_ENUMERATION_CAP = 7
-CAP_ENV_VAR = "SEPCX_CAP"
 
 
 class CapExceeded(ValueError):
-    """Requested ground size is above the configured enumeration cap."""
+    """Requested ground size is above the enumeration cap."""
 
 
-def enumeration_cap(override: int | None = None) -> int:
-    """The largest ground size to enumerate: `override` if given, else
-    SEPCX_CAP, else the default. A cap below 1 is rejected."""
-    if override is not None:
-        cap, source = int(override), "the enumeration cap"
-    else:
-        env = os.environ.get(CAP_ENV_VAR)
-        if not env:
-            return DEFAULT_ENUMERATION_CAP
-        try:
-            cap, source = int(env), CAP_ENV_VAR
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+def check_enumeration_cap(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Reject a cap below 1 (ValueError) and a ground size n above the cap
+    (CapExceeded)."""
     if cap < 1:
-        raise ValueError(f"{source} must be at least 1, got {cap}")
-    return cap
-
-
-def check_enumeration_cap(n: int, cap: int | None = None) -> None:
-    """Reject a ground size above the enumeration cap."""
-    limit = enumeration_cap(cap)
-    if n > limit:
-        raise CapExceeded(f"n = {n} exceeds the enumeration cap {limit}")
+        raise ValueError(f"the enumeration cap must be at least 1, got {cap}")
+    if n > cap:
+        raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -114,11 +96,11 @@ class SeparationComplex:
         return self._images
 
 
-def build(n: int, relation: str, cap: int | None = None) -> SeparationComplex:
+def build(n: int, relation: str, cap: int = DEFAULT_ENUMERATION_CAP) -> SeparationComplex:
     """Clique complex of the separation graph on non-frozen subsets of [n].
 
-    Empty for n <= 2 (every subset is frozen there). Ground sizes above the
-    enumeration cap (default 7, SEPCX_CAP overrides) are rejected.
+    Empty for n <= 2 (every subset is frozen there). Ground sizes above
+    `cap` (default 7) are rejected, as is a cap below 1.
     """
     subsets.check_ground_size(n)
     subsets.check_relation(relation)

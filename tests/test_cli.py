@@ -12,7 +12,8 @@ import pytest
 
 from sepcomplex import build
 from sepcomplex.cli import _load_complex, build_parser, main
-from sepcomplex.complexes import Complex
+from sepcomplex.complexes import CollapseOutcome, Complex
+from sepcomplex.separation import DEFAULT_ENUMERATION_CAP
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,12 @@ def test_bad_face_label(capsys):
                            "--face", "99")
     assert code == 2
     assert "not a vertex label" in err
+    for verb in ("link", "star", "deletion"):
+        code, stdout, err = run_cli(capsys, verb, "--n", "4", "--relation", "ss",
+                                    "--face", "13,13")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "'13' is repeated" in err
 
 
 def test_missing_input(capsys):
@@ -153,15 +160,14 @@ def test_cap_exit_code(capsys):
     assert "cap" in err
 
 
-def test_malformed_cap_variable_exits_2(capsys, monkeypatch):
+def test_cap_variable_is_ignored(capsys, monkeypatch):
     for value in ("abc", "-5", "0"):
         monkeypatch.setenv("SEPCX_CAP", value)
         for argv in (("build", "--n", "4", "--relation", "ss"),
                      ("verify", "figures", "--n", "3"), ("reproduce-paper", "--n", "4")):
             code, _, err = run_cli(capsys, *argv)
-            assert code == 2
-            assert err.startswith("error:")
-            assert "SEPCX_CAP" in err
+            assert code == 0
+            assert err == ""
 
 
 @pytest.mark.parametrize("cap", ["-1", "0"])
@@ -258,7 +264,7 @@ def test_exported_n6_complexes_fit_the_default_budget(tmp_path, ss6):
     for sc in (ss6, build(6, "ws")):
         path = tmp_path / f"{sc.relation}6.json"
         path.write_text(json.dumps(sc.complex.to_dict(sc.n, sc.relation)))
-        cx, n, relation = _load_complex(str(path), None)
+        cx, n, relation = _load_complex(str(path), DEFAULT_ENUMERATION_CAP)
         assert (cx.facets, n, relation) == (sc.complex.facets, 6, sc.relation)
 
 
@@ -362,6 +368,16 @@ def test_verify_verb(capsys):
                               "--format", "json")
     assert code == 0
     assert json.loads(stdout)["summary"]["fail"] == 0
+
+
+def test_stuck_collapse_is_inconclusive_at_n4(capsys, monkeypatch):
+    # a collapse that sticks refutes nothing: the dunce hat is contractible and sticks
+    monkeypatch.setattr(Complex, "greedy_collapse",
+                        lambda self: CollapseOutcome("stuck", len(self.facets), 0))
+    code, stdout, _ = run_cli(capsys, "verify", "contractibility", "--n", "4")
+    assert code == 0
+    assert "collapse-certificate ws(4) [ws(4)]: INCONCLUSIVE" in stdout
+    assert "0 failed, 1 inconclusive" in stdout
 
 
 def test_reproduce_paper_small_and_deterministic(tmp_path, capsys):

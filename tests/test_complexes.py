@@ -456,6 +456,12 @@ def test_isomorphic_square_vs_cross_polytope():
 def test_not_isomorphic():
     path = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3)])
     assert isomorphic(SQUARE, path) is None
+    # 6 vertices and 6 edges each, every vertex of degree 2: only the search tells them apart
+    hexagon = Complex(list("abcdef"), [(i, (i + 1) % 6) for i in range(6)])
+    triangles = Complex(list("abcdef"), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert hexagon.face_counts() == triangles.face_counts() == (6, 6)
+    assert isomorphic(hexagon, triangles) is None
+    assert isomorphic(triangles, hexagon) is None
 
 
 def test_isomorphic_mapping_preserves_facets():

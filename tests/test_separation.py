@@ -8,7 +8,6 @@ from sepcomplex.separation import (
     antipodal_subcomplex,
     build,
     deletion_covering,
-    enumeration_cap,
     retraction_image_mask,
 )
 from sepcomplex.subsets import (
@@ -53,15 +52,14 @@ def test_vertex_counts():
 def test_build_cap():
     with pytest.raises(CapExceeded):
         build(8, "ss")
-    assert enumeration_cap() == 7
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("SEPCX_CAP", "4")
+def test_cap_is_an_argument_not_the_environment(monkeypatch):
     with pytest.raises(CapExceeded):
-        build(5, "ss")
-    assert not build(4, "ss").complex.is_empty
-    assert enumeration_cap(override=9) == 9
+        build(5, "ss", cap=4)
+    assert not build(4, "ss", cap=4).complex.is_empty
+    monkeypatch.setenv("SEPCX_CAP", "4")
+    assert not build(5, "ss").complex.is_empty
 
 
 def test_build_rejects_bad_relation():

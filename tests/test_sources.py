@@ -48,6 +48,37 @@ def test_the_import_scan_sees_an_unused_name():
     assert unused_imports(tree) == ["L"]
 
 
+ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def environment_reads(tree):
+    """Where a module touches the process environment, as `line:name`:
+    attributes `os.environ`, `os.getenv` and `os.putenv`, and those names
+    imported from os."""
+    found = [(node.lineno, f"os.{node.attr}") for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    found += [(node.lineno, f"from os import {alias.name}") for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              for alias in node.names if alias.name in ENVIRONMENT]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_modules_do_not_read_the_environment(path):
+    # the cap and every other setting arrive as arguments, so results never
+    # depend on ambient state
+    assert environment_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_environment_scan_sees_every_read():
+    tree = ast.parse("import os\nfrom os import getenv as g, sep\n"
+                     "x = os.environ.get('A', os.sep)\ny = os.getenv('B')\n"
+                     "os.putenv('C', '1')\nz = g('D')\n")
+    assert environment_reads(tree) == [
+        "2:from os import getenv", "3:os.environ", "4:os.getenv", "5:os.putenv"]
+
+
 def unreferenced_definitions(trees, package):
     """Module-level functions and classes of the `package` modules, and the
     methods of those classes, that no tree in `trees` (path -> ast) refers to
