@@ -59,7 +59,8 @@ def _load_complex(path: str, cap: int) -> tuple[Complex, int | None, str | None]
     if size > most:
         raise CapExceeded(f"a facet of {size} vertices exceeds {most}, the facet size "
                           f"of ss({cap}) and ws({cap}) at the enumeration cap {cap}")
-    subsets, budget = sum(1 << f.bit_count() for f in cx.facets), 1 << (most + cap)
+    subsets = sum(1 << f.bit_count() for f in cx.facets)
+    budget = 1 << min(most + cap, subsets.bit_length())  # no huge power for a huge cap
     if subsets > budget:
         raise CapExceeded(f"the {len(cx.facets)} facets have {subsets} subsets, above "
                           f"{budget} = 2^({most} + {cap}), the subsets of 2^{cap} facets "

@@ -6,13 +6,14 @@ induced, intersection) preserve vertex indices. Complexes built from a graph
 carry the adjacency masks along; induced-type operations keep that structure,
 which speeds up face enumeration and membership tests.
 
-Every face enumeration (boundary matrices, the collapse) reads the one walker
-Complex.face_levels: a clique walk with a graph, facet subsets without.
+Every face enumeration reads the one walker Complex.face_levels: a clique
+walk with a graph, facet subsets without. The collapse enumerates no faces.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .subsets import check_ground_size, check_relation, is_frozen, parse_subset
@@ -68,25 +69,17 @@ def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _least_dominated_face(cx: "Complex") -> int | None:
-    """The first face of `cx` in face_levels order whose facets share a
-    vertex outside it; None if no face is dominated.
-
-    A vertex shared by every facet holding the face lies in the first of
-    them, so only that facet's other vertices are tested.
-    """
-    holders = [0] * len(cx.labels)  # per vertex, the indices of its facets
-    for i, f in enumerate(cx.facets):
-        for v in _mask_to_tuple(f):
-            holders[v] |= 1 << i
-    for level in cx.face_levels():
-        for m in level:
-            inside = -1
-            for v in _mask_to_tuple(m):
-                inside &= holders[v]
-            first = cx.facets[(inside & -inside).bit_length() - 1]
-            if any(not inside & ~holders[w] for w in _mask_to_tuple(first & ~m)):
-                return m
+def _least_dominated(adj: Sequence[int], alive: int) -> tuple[int, int] | None:
+    """The first dominated vertex (u, u), else edge (u, v) with u < v, of
+    the clique complex of `adj` on `alive` in face_levels order, or None. A
+    face whose vertices have the common neighbours C is dominated iff some w
+    in C has C inside its closed neighbourhood."""
+    vertices = _mask_to_tuple(alive)
+    edges = ((u, v) for u in vertices for v in _mask_to_tuple(adj[u] >> u + 1 << u + 1))
+    for u, v in chain(zip(vertices, vertices), edges):
+        common = adj[u] & adj[v]
+        if any(not common & ~(adj[w] | 1 << w) for w in _mask_to_tuple(common)):
+            return u, v
     return None
 
 
@@ -344,31 +337,31 @@ class Complex:
     # -- collapsing ----------------------------------------------------------
 
     def greedy_collapse(self) -> "CollapseOutcome":
-        """Repeatedly delete every face containing the least dominated face.
-
-        A face is dominated when all the facets containing it share a vertex
-        outside it. Deleting the faces that contain it is then a collapse: a
-        strong collapse for a vertex (Barmak-Minian), an edge collapse for an
-        edge (Boissonnat-Pritam), and an elementary collapse for a free face,
-        the one-facet case. "Least" is face_levels order: smallest size
-        first, then lexicographic in the sorted vertex tuples. Each step
-        replaces the facets containing the face by their subsets with one of
-        its vertices removed. A facet is never dominated. Reaching a single
-        vertex certifies contractibility; getting stuck decides nothing.
-        """
-        facets = self.facets
+        """On a clique complex, repeatedly delete the faces containing the
+        least dominated vertex, else edge: one whose faces all share a vertex
+        outside it. That is a strong collapse (Barmak-Minian) or an edge
+        collapse (Boissonnat-Pritam), and leaves the clique complex of a
+        smaller graph, so each step edits adjacency masks; a dominated face
+        of dimension 2 or more is no step. Reaching a single vertex certifies
+        contractibility; getting stuck decides nothing."""
+        if self._graph is None:
+            raise ValueError("the greedy collapse runs on clique complexes only")
+        alive = self.vertex_mask
+        adj = [a & alive for a in self._graph]
         steps = 0
-        while True:
-            if len(facets) == 1 and facets[0].bit_count() == 1:
-                return CollapseOutcome("collapsed-to-point", 1, steps)
-            face = _least_dominated_face(Complex._trusted(self.labels, facets, None))
+        while alive & (alive - 1):
+            face = _least_dominated(adj, alive)
             if face is None:
-                return CollapseOutcome("stuck", len(facets), steps)
-            kept = [f for f in facets if f & face != face]
-            kept += [f ^ (1 << v) for f in facets if f & face == face
-                     for v in _mask_to_tuple(face)]
-            facets = _maximal(kept)
+                return CollapseOutcome("stuck", steps)
+            u, v = face
+            if u == v:
+                alive ^= 1 << u
+                adj = [a & alive for a in adj]
+            else:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
             steps += 1
+        return CollapseOutcome("collapsed-to-point" if alive else "stuck", steps)
 
     # -- serialization ---------------------------------------------------------
 
@@ -382,9 +375,10 @@ class Complex:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Complex":
-        """Inverse of to_dict; raises ValueError on a malformed mapping. With
-        a ground size 'n', each label must name its own subset of [n], and a
-        non-frozen one when the mapping also gives its 'relation'."""
+        """Inverse of to_dict; raises ValueError on a malformed mapping, a
+        repeated index in a facet among them. With a ground size 'n', each
+        label must name its own subset of [n], and a non-frozen one when the
+        mapping also gives its 'relation'."""
         if not isinstance(data, Mapping):
             raise ValueError("complex JSON must be an object")
         labels, facets = data.get("vertices"), data.get("facets")
@@ -415,7 +409,11 @@ class Complex:
                     raise ValueError(
                         f"vertex labels {named[s]!r} and {label!r} name the same subset")
                 named[s] = label
-        return cls(labels, facets)
+        cx = cls(labels, facets)  # first rejects an index that is no integer in range
+        repeated = [v for f in facets for v, count in Counter(f).items() if count > 1]
+        if repeated:
+            raise ValueError(f"vertex index {repeated[0]} is repeated in a facet")
+        return cx
 
 
 @dataclass(frozen=True)
@@ -423,7 +421,6 @@ class CollapseOutcome:
     """Result of a greedy collapse run."""
 
     status: str  # "collapsed-to-point" or "stuck"
-    remaining_facets: int
     steps: int
 
     @property

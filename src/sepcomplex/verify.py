@@ -3,9 +3,9 @@
 Each check compares a computed quantity against a frozen expected value and
 yields a CheckResult row. Contractibility-style claims are never decided;
 they are certified in decreasing strength: a cone point, a full greedy
-collapse, or (inconclusively) trivial reduced homology alone. Each collapse
-step deletes the faces containing the least dominated face, one whose facets
-share a vertex outside it, in face_levels order (Complex.greedy_collapse).
+collapse, or (inconclusively) trivial reduced homology alone. The collapse
+(Complex.greedy_collapse) runs on the graph of a clique complex: each step
+deletes the least dominated vertex, else edge; never a larger face.
 Every retraction row reads the complex's one table of retraction images,
 SeparationComplex.retraction_images, which is built on first use, and
 sweeps every face; none samples. The chain
@@ -153,9 +153,9 @@ def figure_checks(get: Builder = build) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def contractibility_shadow(sc: SeparationComplex) -> list[CheckResult]:
-    """Trivial reduced homology, plus a greedy collapse certificate. A stuck
-    collapse refutes nothing (the dunce hat is contractible and sticks), so
-    its row reads INCONCLUSIVE, never FAIL."""
+    """Trivial reduced homology, plus a collapse by dominated vertices and
+    edges. A stuck collapse refutes nothing (a subdivided dunce hat is
+    contractible and sticks), so its row reads INCONCLUSIVE, never FAIL."""
     scope = f"{sc.relation}({sc.n})"
     groups = reduced_homology(sc.complex)
     trivial = all(g.is_trivial for g in groups)
@@ -302,9 +302,9 @@ def equivariance_checks(sc: SeparationComplex) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def contractibility_certificate(cx: Complex) -> str:
-    """Strongest available certificate: "cone-point" if a vertex lies in every
-    facet, else "collapsed-to-point" if Complex.greedy_collapse (dominated
-    faces) reaches a vertex, else "none"."""
+    """Strongest available certificate for a clique complex: "cone-point" if
+    a vertex lies in every facet, else "collapsed-to-point" if the collapse
+    by dominated vertices and edges reaches a vertex, else "none"."""
     if cx.cone_points():
         return "cone-point"
     if cx.greedy_collapse().collapsed:

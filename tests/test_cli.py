@@ -29,6 +29,8 @@ def test_build_and_fvector(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "fvector", str(out))
     assert code == 0
     assert stdout.strip() == "8 16 8"
+    # a cap this large must not build 2^(C(cap - 1, 2) + cap) as its budget
+    assert run_cli(capsys, "fvector", str(out), "--cap", "100000000000") == (0, "8 16 8\n", "")
     out = tmp_path / "ws5.json"
     assert run_cli(capsys, "build", "--n", "5", "--relation", "ws", "--out", str(out))[0] == 0
     code, stdout, _ = run_cli(capsys, "fvector", str(out))
@@ -143,6 +145,7 @@ def test_missing_input(capsys):
     ({"n": 4, "vertices": ["23", "32"], "facets": [[0, 1]]}, "name the same subset"),
     ({"vertices": ["a", "b", "c"], "facets": [[True, False], [2]]}, "True is not an integer"),
     ({"relation": "ss", "vertices": ["zz"], "facets": [[0]]}, "needs its ground size 'n'"),
+    ({"vertices": ["a", "b", "c"], "facets": [[0, 0, 1], [2]]}, "vertex index 0 is repeated"),
     pytest.param("[" * 100000 + "]" * 100000, "nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):
@@ -371,9 +374,9 @@ def test_verify_verb(capsys):
 
 
 def test_stuck_collapse_is_inconclusive_at_n4(capsys, monkeypatch):
-    # a collapse that sticks refutes nothing: the dunce hat is contractible and sticks
+    # a collapse that sticks refutes nothing: a subdivided dunce hat is contractible and sticks
     monkeypatch.setattr(Complex, "greedy_collapse",
-                        lambda self: CollapseOutcome("stuck", len(self.facets), 0))
+                        lambda self: CollapseOutcome("stuck", 0))
     code, stdout, _ = run_cli(capsys, "verify", "contractibility", "--n", "4")
     assert code == 0
     assert "collapse-certificate ws(4) [ws(4)]: INCONCLUSIVE" in stdout

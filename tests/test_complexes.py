@@ -295,16 +295,12 @@ def test_covering_validation(ws4):
 # --- collapsing -----------------------------------------------------------------------
 
 def test_collapse_full_simplex():
-    out = complete_graph_complex(5).greedy_collapse()
-    assert out.collapsed
-    assert out.remaining_facets == 1
+    # each step deletes the first vertex, dominated by the next one
+    assert complete_graph_complex(5).greedy_collapse() == CollapseOutcome("collapsed-to-point", 4)
 
 
 def test_collapse_cycle_sticks():
-    out = four_cycle_clique().greedy_collapse()
-    assert out.status == "stuck"
-    assert out.remaining_facets == 4
-    assert out.steps == 0
+    assert four_cycle_clique().greedy_collapse() == CollapseOutcome("stuck", 0)
 
 
 def test_collapse_ws4(ws4):
@@ -354,49 +350,80 @@ def face_order(face):
     return len(face), tuple(sorted(face))
 
 
-def record_collapse(cx):
-    """Run greedy_collapse, logging each step's facet set and the face the
-    dominated-face finder returns for it."""
-    log = []
-    finder = complexes._least_dominated_face
+def clique_set(adj, alive):
+    """Every nonempty clique of the graph `adj` on the vertex mask `alive`,
+    grown one vertex at a time, as frozensets."""
+    vertices = _mask_to_tuple(alive)
+    level = {frozenset([v]) for v in vertices}
+    out = set()
+    while level:
+        out |= level
+        level = {f | {w} for f in level for w in vertices
+                 if w not in f and all(adj[w] >> u & 1 for u in f)}
+    return out
 
-    def recorder(step):
-        face = finder(step)
-        log.append((step.facets, face))
+
+def record_collapse(cx):
+    """Run greedy_collapse, logging each call of the dominated-face finder:
+    a snapshot of the graph it searched, which the loop may then edit in place,
+    and the face it returned."""
+    log = []
+    finder = complexes._least_dominated
+
+    def recorder(adj, alive):
+        face = finder(adj, alive)
+        log.append((list(adj), alive, face))
         return face
 
-    with mock.patch.object(complexes, "_least_dominated_face", recorder):
+    with mock.patch.object(complexes, "_least_dominated", recorder):
         return cx.greedy_collapse(), log
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(random_clique_complexes(), random_facet_complexes()))
-@example(Complex.empty())
-@example(Complex(list("abc"), [(0,), (1,), (2,)]))
-@example(Complex(list("abcd"), [(0, 1, 2), (3,)]))
-@example(Complex(list("a"), [(0,)]))
-@example(SQUARE)
-@example(Complex(list("abcd"), [(0, 1, 2), (1, 2, 3)]))
+@given(random_clique_complexes())
+@example(clique_complex([], []))
+@example(clique_complex(list("abc"), [0, 0, 0]))
+@example(clique_complex(list("abcd"), [0b0110, 0b0101, 0b0011, 0]))  # a triangle and a point
+@example(clique_complex(list("a"), [0]))
+@example(four_cycle_clique())
+@example(clique_complex(list("abcd"), [0b0110, 0b1101, 0b1011, 0b0110]))  # two triangles
 def test_greedy_collapse_deletes_least_dominated_faces(cx):
     outcome, log = record_collapse(cx)
-    assert outcome.steps == sum(face is not None for _, face in log)
-    for i, (facets, face) in enumerate(log):
-        faces = face_set(Complex(cx.labels, [_mask_to_tuple(f) for f in facets]))
-        earlier = faces if face is None else {
-            tau for tau in faces if face_order(tau) < face_order(set(_mask_to_tuple(face)))}
-        assert not any(dominated(faces, tau) for tau in earlier)
+    assert outcome.steps == sum(face is not None for *_, face in log)
+    if not log:  # at most one vertex
+        assert outcome == CollapseOutcome(
+            "collapsed-to-point" if cx.vertex_mask else "stuck", 0)
+    for i, (adj, alive, face) in enumerate(log):
+        faces = clique_set(adj, alive)
+        if i == 0:
+            assert faces == face_set(cx)
+        small = [tau for tau in faces if len(tau) <= 2]
         if face is None:
+            assert i + 1 == len(log) and outcome.status == "stuck"
+            assert not any(dominated(faces, tau) for tau in small)
             continue
-        sigma = frozenset(_mask_to_tuple(face))
-        assert sigma in faces and face not in facets
-        assert dominated(faces, sigma)
+        u, v = face
+        sigma = frozenset(face)
+        assert u <= v and sigma in faces and dominated(faces, sigma)
+        assert not any(dominated(faces, tau) for tau in small
+                       if face_order(tau) < face_order(sigma))
         after = {tau for tau in faces if not sigma <= tau}
         if i + 1 < len(log):
-            assert after == face_set(Complex(cx.labels, map(_mask_to_tuple, log[i + 1][0])))
+            assert after == clique_set(*log[i + 1][:2])
         else:  # the step that reached a vertex
             assert outcome.collapsed and len(after) == 1
     if outcome.collapsed:
         assert not any(betti_rational(cx))
+
+
+def barycentric_subdivision(cx):
+    """The order complex of the face poset of `cx`, a flag complex: its
+    vertices are the faces of `cx`, two adjacent when one holds the other."""
+    faces = list(cx.iter_face_masks())
+    adjacency = [sum(1 << j for j, g in enumerate(faces) if g != f and f & g in (f, g))
+                 for f in faces]
+    return clique_complex([",".join(cx.labels[v] for v in _mask_to_tuple(f)) for f in faces],
+                          adjacency)
 
 
 # The 8-vertex dunce hat: a triangle whose sides, each cut into 1-2-3-1,
@@ -410,9 +437,12 @@ DUNCE_HAT = Complex([str(v) for v in range(1, 9)], [
 
 
 def test_collapse_dunce_hat_sticks():
-    assert DUNCE_HAT.face_counts() == (8, 24, 17)
-    assert not any(betti_rational(DUNCE_HAT))
-    assert DUNCE_HAT.greedy_collapse() == CollapseOutcome("stuck", 17, 0)
+    hat = barycentric_subdivision(DUNCE_HAT)
+    assert hat.face_counts() == (49, 150, 102)
+    assert not any(betti_rational(hat))
+    assert hat.greedy_collapse() == CollapseOutcome("stuck", 0)
+    with pytest.raises(ValueError, match="clique complexes only"):
+        DUNCE_HAT.greedy_collapse()
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,10 +463,10 @@ def test_star_link_and_deletion_identities(cx, data):
 
 
 def test_greedy_collapse_paper_values(ws4, ws5):
-    assert ws4.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 8)
-    assert ws5.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 23)
+    assert ws4.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 8)
+    assert ws5.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 23)
     ws6 = build(6, "ws").complex
-    assert ws6.greedy_collapse() == CollapseOutcome("collapsed-to-point", 1, 55)
+    assert ws6.greedy_collapse() == CollapseOutcome("collapsed-to-point", 55)
 
 
 # --- isomorphism ------------------------------------------------------------------------

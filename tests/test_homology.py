@@ -7,7 +7,13 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_complexes import random_clique_complexes, random_facet_complexes
+from test_complexes import (
+    barycentric_subdivision,
+    complete_graph_complex,
+    four_cycle_clique,
+    random_clique_complexes,
+    random_facet_complexes,
+)
 
 from sepcomplex import homology
 from sepcomplex.complexes import Complex, cross_polytope_boundary, isomorphic
@@ -425,8 +431,8 @@ def test_homology_invariant_under_relabeling():
 
 
 def test_collapse_success_implies_trivial_homology(ws4):
-    corpus = [ws4.complex, Complex(list("abc"), [(0, 1, 2)]), SQUARE,
-              PROJECTIVE_PLANE]
+    corpus = [ws4.complex, complete_graph_complex(3), four_cycle_clique(),
+              barycentric_subdivision(PROJECTIVE_PLANE), cross_polytope_boundary(3)]
     for cx in corpus:
         if cx.greedy_collapse().collapsed:
             assert cx.euler_characteristic() == 1

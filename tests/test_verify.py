@@ -1,4 +1,5 @@
 """The verification layer: check functions, report formatting, the full report."""
+import hashlib
 import json
 import re
 from collections import Counter
@@ -7,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_complexes import random_clique_complexes
+from test_complexes import four_cycle_clique, random_clique_complexes
 
 from sepcomplex import separation, verify
 from sepcomplex.complexes import Complex, Covering, _mask_to_tuple, nerve
@@ -386,11 +387,9 @@ def test_cone_points_check_sweeps_every_no_free_pair_intersection(n):
 
 
 def test_contractibility_certificate(ws4):
-    from sepcomplex.complexes import Complex
-
     assert contractibility_certificate(ws4.complex) in (
         "cone-point", "collapsed-to-point")
-    square = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    square = four_cycle_clique()
     assert contractibility_certificate(square) == "none"
 
 
@@ -482,6 +481,9 @@ def test_full_report_six_ends_with_the_n6_rows(monkeypatch, ss6):
         "pure-of-dimension ss(6)", "sphere-homology ss(6)", "homology-trivial ws(6)",
         "collapse-certificate ws(6)"]
     assert all(r.status == "PASS" for r in results)
+    # the digest of `sepcx reproduce-paper --n 6 --format json`
+    assert hashlib.sha256(results_to_json(results).encode()).hexdigest() == (
+        "835f32c9078454af78dce0ab0247e26d4f6651dc5478dbf20d67808df629223f")
 
 
 def test_boundary_findings_rows():
