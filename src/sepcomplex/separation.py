@@ -81,7 +81,10 @@ class SeparationComplex:
         """Retraction image mask (retraction_image_mask) of every nonempty
         face, keyed by face mask in the order of Complex.iter_face_masks; an
         image may be empty. Defined on ss(n), n >= 4, and built on first use.
-        Every check reads this one dict: read it, do not modify it.
+        Every check reads this one dict: read it, do not modify it. Three
+        sweeps read it: verify.chain_violations, equivariance_violations and
+        carrier_violations. The first two rely on its order, by dimension,
+        which puts a face less one vertex one level before the face.
 
         Kept in a field like _pairs: functools.cached_property would write
         the instance __dict__, which makes every later attribute read on the

@@ -8,8 +8,15 @@ collapse, or (inconclusively) trivial reduced homology alone. The collapse
 deletes the least dominated vertex, else edge; never a larger face.
 Every retraction row reads the complex's one table of retraction images,
 SeparationComplex.retraction_images, which is built on first use, and
-sweeps every face; none samples. The chain
-condition counts the faces that have a violating subface. The covering
+sweeps every face; none samples. The chain condition counts the faces
+that have a violating subface. The chain-condition, carrier-containment
+and retraction-equivariance sweeps cost O(1) per face and count exactly
+what a face-by-face test would. The table lists the faces by dimension,
+so f less its lowest vertex comes one level before f: the chain sweep
+builds the union of f's subfaces' images, and the equivariance sweep f's
+permuted mask, from that face. Carrier containment tests f | img against
+one mask per distinct image, the closed neighbourhoods of its vertices
+ANDed, which is exact because f is a clique. The covering
 checks work on vertex masks: the members of the deletion covering and of
 each star covering are full subcomplexes, so every intersection is the
 parent induced on the AND of their vertex masks. Every deletion row, the
@@ -238,6 +245,58 @@ def chain_violations(images: dict[int, int], pairs: Sequence[tuple[int, int]]) -
     return violations
 
 
+def carrier_violations(cx: Complex, images: dict[int, int]) -> int:
+    """Faces f whose union with their image is not a face of the clique
+    complex `cx`. Exact: f is a face, hence a clique, so f | img is a face iff
+    it lies in the vertices of `cx` and in the closed neighbourhood
+    g[v] | 1 << v of every v in img, one mask per distinct image. `images`
+    must be keyed by faces of `cx`; SeparationComplex.retraction_images,
+    which the carrier-containment row passes, is.
+    """
+    g = cx.graph
+    common = {}
+    for img in set(images.values()):
+        c = cx.vertex_mask
+        for v in _mask_to_tuple(img):
+            c &= g[v] | 1 << v
+        common[img] = c
+    return sum(1 for f, img in images.items() if (f | img) & ~common[img])
+
+
+def _permute_mask(m: int, perm: Sequence[int]) -> int:
+    r = 0
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        r |= 1 << perm[low.bit_length() - 1]
+    return r
+
+
+def equivariance_violations(images: dict[int, int], perms: Sequence[Sequence[int]]) -> int:
+    """Pairs (perm, face f) with images[perm(f)] != perm(images[f]), one per
+    mismatch. Exact: perm(f) is perm(f - v) | perm(v) for the lowest vertex v
+    of f, and f - v, a face one dimension down, was permuted on the previous
+    level; each distinct image is permuted once. `images` must list every
+    face, by dimension; SeparationComplex.retraction_images, which the
+    retraction-equivariance row passes, does.
+    """
+    distinct = set(images.values())
+    bad = 0
+    for perm in perms:
+        bits = {1 << v: 1 << w for v, w in enumerate(perm)}
+        permuted = {img: _permute_mask(img, perm) for img in distinct}
+        below, here, size = {}, {0: 0}, 0  # the permuted face, by dimension
+        for f, img in images.items():
+            if f.bit_count() != size:
+                below, here, size = here, {}, f.bit_count()
+            low = f & -f
+            pf = here[f] = below[f ^ low] | bits[low]
+            if images[pf] != permuted[img]:
+                bad += 1
+    return bad
+
+
 def _violations_row(check: str, sc: SeparationComplex, violations: int) -> CheckResult:
     scope = f"ss({sc.n})"
     return _row(f"{check} {scope}", scope, 0, violations, witness="violations")
@@ -250,7 +309,7 @@ def retraction_checks(sc: SeparationComplex) -> list[CheckResult]:
     kmask = sum(1 << i for i in sc.antipodal_vertex_indices())
     empty = sum(1 for img in images.values() if img == 0)
     not_fixed = sum(1 for f, img in images.items() if f & ~kmask == 0 and img != f)
-    outside = sum(1 for f, img in images.items() if not sc.complex.has_face_mask(f | img))
+    outside = carrier_violations(sc.complex, images)
     chain = chain_violations(images, sc.singleton_pair_indices())
     return [
         _violations_row("image-nonempty", sc, empty),
@@ -274,25 +333,14 @@ def equivariance_checks(sc: SeparationComplex) -> list[CheckResult]:
     facet_set = set(sc.complex.facets)
     antipodal = set(sc.antipodal_vertex_indices())
 
-    def permute_mask(m: int, perm: tuple[int, ...]) -> int:
-        r = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            r |= 1 << perm[low.bit_length() - 1]
-        return r
-
     perms = [sc.vertex_permutation(g) for g in GENERATORS]
-    faces_preserved = all({permute_mask(f, p) for f in facet_set} == facet_set for p in perms)
+    faces_preserved = all({_permute_mask(f, p) for f in facet_set} == facet_set for p in perms)
     antipodal_preserved = all({p[i] for i in antipodal} == antipodal for p in perms)
     out.append(_row(f"symmetries-preserve-facets {scope}", scope, True, faces_preserved))
     out.append(_row(f"symmetries-preserve-cross-polytope {scope}", scope, True,
                     antipodal_preserved))
     if sc.relation == "ss":
-        images = sc.retraction_images
-        bad = sum(1 for p in perms for f, img in images.items()
-                  if images[permute_mask(f, p)] != permute_mask(img, p))
+        bad = equivariance_violations(sc.retraction_images, perms)
         out.append(_violations_row("retraction-equivariance", sc, bad))
     return out
 

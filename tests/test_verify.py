@@ -26,11 +26,13 @@ from sepcomplex.verify import (
     antipodal_checks,
     any_failed,
     boundary_findings,
+    carrier_violations,
     chain_violations,
     contractibility_certificate,
     contractibility_shadow,
     covering_checks,
     equivariance_checks,
+    equivariance_violations,
     figure_checks,
     format_results,
     full_report,
@@ -155,6 +157,54 @@ def test_chain_violations_see_subfaces_two_dimensions_down(ss4, ss5):
         assert brute_chain_violations(images, pairs) == 1
 
 
+def _injected_images(sc, data):
+    """A copy of the table (the fixtures' is shared) with pair vertices
+    added to, or set as, the images of a few drawn faces."""
+    images = dict(sc.retraction_images)
+    injected = st.tuples(st.sampled_from(list(images)),
+                         st.sampled_from(sc.antipodal_vertex_indices()), st.booleans())
+    for f, v, replace in data.draw(st.lists(injected, min_size=1, max_size=6)):
+        images[f] = 1 << v if replace else images[f] | 1 << v
+    return images
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_carrier_violations_match_brute_force(ss4, ss5, data):
+    sc = data.draw(st.sampled_from([ss4, ss5]))
+    images = _injected_images(sc, data)
+    assert carrier_violations(sc.complex, images) == sum(
+        1 for f, img in images.items() if not sc.complex.has_face_mask(f | img))
+
+
+def _carrier_row(sc):
+    return next(r for r in retraction_checks(sc) if r.check.startswith("carrier-containment"))
+
+
+def test_carrier_row_fails_on_an_image_vertex_off_the_face(ss5, monkeypatch):
+    # on a fresh complex, since the fixture's table is shared: one edge's
+    # image gains a pair vertex adjacent to neither of its ends
+    fresh, g = build(5, "ss"), ss5.complex.graph
+    edge, v = next((f, v) for f in ss5.retraction_images if f.bit_count() == 2
+                   for v in ss5.antipodal_vertex_indices()
+                   if f & ~(g[v] | 1 << v) == f)
+    real = separation.retraction_image_mask
+    monkeypatch.setattr(separation, "retraction_image_mask",
+                        lambda cx, f: real(cx, f) | (1 << v if f == edge else 0))
+    row = _carrier_row(fresh)
+    assert row.status == "FAIL" and int(row.computed) >= 1
+    assert _carrier_row(ss5).computed == "0"
+    # the image's own vertices must span a face with it: a complementary
+    # pair, each vertex adjacent to all of the face, is not
+    i, j = ss5.singleton_pair_indices()[0]
+    both = (g[i] | 1 << i) & (g[j] | 1 << j)
+    images = dict.fromkeys(ss5.retraction_images, 0)
+    face = next(f for f in images if f & ~both == 0)
+    images[face] = 1 << i | 1 << j
+    assert carrier_violations(ss5.complex, images) == 1
+    assert not ss5.complex.has_face_mask(face | images[face])
+
+
 def test_retraction_sweeps_reject_ws(ws4):
     with pytest.raises(ValueError, match="strong-separation"):
         retraction_checks(ws4)
@@ -206,6 +256,31 @@ def test_retraction_equivariance_over_the_whole_group(ss4, ss5, monkeypatch):
         assert fresh.retraction_images[first] == 0 and images[first] != 0
         assert row.status == "FAIL" and int(row.computed) > 0
         assert _equivariance_row(sc).computed == "0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equivariance_violations_match_brute_force(ss4, ss5, data):
+    sc = data.draw(st.sampled_from([ss4, ss5]))
+    images = _injected_images(sc, data)
+    perms = [sc.vertex_permutation(g) for g in GENERATORS]
+    assert equivariance_violations(images, perms) == sum(
+        1 for perm in perms for f, img in images.items()
+        if images[_permuted(f, perm)] != _permuted(img, perm))
+
+
+def test_retraction_and_equivariance_rows_make_no_face_query(monkeypatch):
+    calls = []
+    real = Complex.has_face_mask
+
+    def counted(cx, m):
+        calls.append(m)
+        return real(cx, m)
+
+    sc = build(5, "ss")  # the table is built inside the checks, so counted too
+    monkeypatch.setattr(Complex, "has_face_mask", counted)
+    assert all_pass(retraction_checks(sc) + equivariance_checks(sc))
+    assert not calls
 
 
 def test_ws5_certificate_row(ws5):
@@ -457,7 +532,7 @@ def test_full_report_small():
 
 
 def test_full_report_rejects_tiny_nmax():
-    # no row runs above ground size 6, so the report refuses nmax 7 as well
+    # the report is defined at nmax 4..6 (its K(7) rows run at every nmax)
     for nmax in (3, 7):
         with pytest.raises(ValueError, match="4 <= n <= 6"):
             full_report(nmax)
