@@ -86,6 +86,13 @@ class SeparationComplex:
         carrier_violations. The first two rely on its order, by dimension,
         which puts a face less one vertex one level before the face.
 
+        Built at O(1) per face in the same order. The image of f depends on f
+        only through c(f), the pair vertices v whose closed neighbourhood
+        N[v] = g[v] | 1 << v holds f, kept as one bit per pair vertex. c(f)
+        is c(f less its lowest vertex v), one level down, ANDed with the pair
+        vertices of N[v], from c of the empty face, all of them; each
+        distinct c calls retraction_image_mask once, on its first face.
+
         Kept in a field like _pairs: functools.cached_property would write
         the instance __dict__, which makes every later attribute read on the
         complex slower on CPython 3.11."""
@@ -94,8 +101,23 @@ class SeparationComplex:
                 raise ValueError("the retraction is defined on the strong-separation complex")
             if self.n < 4:
                 raise ValueError("the retraction is defined for n >= 4")
-            object.__setattr__(self, "_images", {
-                f: retraction_image_mask(self, f) for f in self.complex.iter_face_masks()})
+            g = self.complex.graph
+            pair_vertices = self.antipodal_vertex_indices()
+            near = {1 << v: sum(1 << k for k, p in enumerate(pair_vertices)
+                                if (a | 1 << v) >> p & 1)
+                    for v, a in enumerate(g)}  # keyed by the vertex's bit
+            images, memo = {}, {}  # memo: the image per distinct c
+            below, here, size = {}, {0: (1 << len(pair_vertices)) - 1}, 0  # c, by dimension
+            for f in self.complex.iter_face_masks():
+                if f.bit_count() != size:
+                    below, here, size = here, {}, f.bit_count()
+                low = f & -f
+                c = here[f] = below[f ^ low] & near[low]
+                img = memo.get(c)
+                if img is None:
+                    img = memo[c] = retraction_image_mask(self, f)
+                images[f] = img
+            object.__setattr__(self, "_images", images)
         return self._images
 
 
@@ -144,7 +166,10 @@ def retraction_image_mask(sc: SeparationComplex, face_mask: int) -> int:
     """Vertex-index mask of the retraction image; may be empty (callers decide).
 
     Pair vertex v is in it iff face + v is a face, i.e. the face lies in the
-    closed neighbourhood of v, and face + partner(v) is not."""
+    closed neighbourhood of v, and face + partner(v) is not. So the image
+    depends on the face only through the pair vertices whose closed
+    neighbourhood holds it; SeparationComplex.retraction_images relies on
+    that and calls this once per such set."""
     g = sc.complex.graph
     out = 0
     for i, j in sc.singleton_pair_indices():

@@ -8,15 +8,17 @@ collapse, or (inconclusively) trivial reduced homology alone. The collapse
 deletes the least dominated vertex, else edge; never a larger face.
 Every retraction row reads the complex's one table of retraction images,
 SeparationComplex.retraction_images, which is built on first use, and
-sweeps every face; none samples. The chain condition counts the faces
-that have a violating subface. The chain-condition, carrier-containment
-and retraction-equivariance sweeps cost O(1) per face and count exactly
-what a face-by-face test would. The table lists the faces by dimension,
-so f less its lowest vertex comes one level before f: the chain sweep
-builds the union of f's subfaces' images, and the equivariance sweep f's
-permuted mask, from that face. Carrier containment tests f | img against
-one mask per distinct image, the closed neighbourhoods of its vertices
-ANDed, which is exact because f is a clique. The covering
+sweeps every face, or every face of K(n) for identity-on-cross-polytope;
+none samples. The chain condition counts the faces that have a violating
+subface. The carrier-containment and retraction-equivariance sweeps cost
+O(1) per face, the chain-condition sweep O(dim f) per face, one lookup
+per vertex of f; all three count exactly what a face-by-face test would.
+The table lists the faces by dimension, so f less a vertex comes one
+level before f: the chain sweep builds the union of f's subfaces' images
+from the faces f less each vertex, and the equivariance sweep f's
+permuted mask from f less its lowest vertex. Carrier containment tests
+f | img against one mask per distinct image, the closed neighbourhoods of
+its vertices ANDed, which is exact because f is a clique. The covering
 checks work on vertex masks: the members of the deletion covering and of
 each star covering are full subcomplexes, so every intersection is the
 parent induced on the AND of their vertex masks. Every deletion row, the
@@ -303,12 +305,14 @@ def _violations_row(check: str, sc: SeparationComplex, violations: int) -> Check
 
 
 def retraction_checks(sc: SeparationComplex) -> list[CheckResult]:
-    """The four retraction rows, each over every face, off the complex's one
-    image table (SeparationComplex.retraction_images)."""
+    """The four retraction rows, off the complex's one image table
+    (SeparationComplex.retraction_images): identity-on-cross-polytope over
+    the faces of K(n), the others over every face."""
     images = sc.retraction_images
     kmask = sum(1 << i for i in sc.antipodal_vertex_indices())
     empty = sum(1 for img in images.values() if img == 0)
-    not_fixed = sum(1 for f, img in images.items() if f & ~kmask == 0 and img != f)
+    not_fixed = sum(1 for f in sc.complex.induced_mask(kmask).iter_face_masks()
+                    if images[f] != f)
     outside = carrier_violations(sc.complex, images)
     chain = chain_violations(images, sc.singleton_pair_indices())
     return [

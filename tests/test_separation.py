@@ -1,10 +1,20 @@
 """Builders: separation complexes, the antipodal subcomplex, retraction data,
 and the deletion covering."""
-import pytest
+import random
 
-from sepcomplex.complexes import _mask_to_tuple, cross_polytope_boundary, isomorphic
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sepcomplex.complexes import (
+    _mask_to_tuple,
+    clique_complex,
+    cross_polytope_boundary,
+    isomorphic,
+)
 from sepcomplex.separation import (
     CapExceeded,
+    SeparationComplex,
     antipodal_subcomplex,
     build,
     deletion_covering,
@@ -188,13 +198,38 @@ def test_retraction_rejects_bad_input(ws4):
         build(3, "ss").retraction_images
 
 
-def test_retraction_images_match_per_face(ss4, ss5):
-    for sc in (ss4, ss5):
+def test_retraction_images_match_per_face(ss4, ss5, ss6):
+    # the oracle of the level-by-level build: every entry is the per-face
+    # image, in the order of iter_face_masks
+    for sc in (ss4, ss5, ss6):
         images = sc.retraction_images
         assert list(images) == list(sc.complex.iter_face_masks())
         assert all(img == retraction_image_mask(sc, f) for f, img in images.items())
         assert all(images.values())  # every image nonempty
         assert sc.retraction_images is images  # built once, then shared
+
+
+def relabelled(sc, perm):
+    """sc with vertex i renamed perm[i], rebuilt through clique_complex."""
+    def moved(m):
+        return sum(1 << perm[v] for v in _mask_to_tuple(m))
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    cx = clique_complex([sc.label(i) for i in inverse],
+                        [moved(sc.complex.graph[i]) for i in inverse])
+    return SeparationComplex(sc.n, "ss", cx, tuple(sc.masks[i] for i in inverse)), moved
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_retraction_images_do_not_depend_on_vertex_order(ss4, ss5, data, seed):
+    # the lowest vertex of a face changes with the labelling; the table must not
+    sc = data.draw(st.sampled_from([ss4, ss5]))
+    perm = random.Random(seed).sample(range(len(sc.masks)), len(sc.masks))
+    other, moved = relabelled(sc, perm)
+    images = other.retraction_images
+    assert list(images) == list(other.complex.iter_face_masks())
+    assert all(img == retraction_image_mask(other, f) for f, img in images.items())
+    assert images == {moved(f): moved(img) for f, img in sc.retraction_images.items()}
 
 
 # --- deletion covering ---------------------------------------------------------

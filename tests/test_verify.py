@@ -97,6 +97,13 @@ def test_named_retraction_rows_are_the_retraction_rows(ss5, ss6):
         r for r in retraction_checks(ss5) if r.check.startswith("chain")]
 
 
+def _pair_class(sc, f):
+    """The pair vertices whose closed neighbourhood holds face f: the image
+    of f depends on f through this set alone."""
+    g = sc.complex.graph
+    return frozenset(v for v in sc.antipodal_vertex_indices() if f & ~(g[v] | 1 << v) == 0)
+
+
 def test_one_image_table_serves_both_check_functions(monkeypatch):
     calls = Counter()
     real = separation.retraction_image_mask
@@ -107,9 +114,13 @@ def test_one_image_table_serves_both_check_functions(monkeypatch):
 
     monkeypatch.setattr(separation, "retraction_image_mask", counted)
     sc = build(5, "ss")
-    assert all_pass(retraction_checks(sc) + equivariance_checks(sc))
-    assert sum(calls.values()) == sum(sc.complex.face_counts()) == 1326
-    assert set(calls.values()) == {1}  # once per face
+    assert all_pass(retraction_checks(sc))
+    made = sum(calls.values())
+    assert all_pass(equivariance_checks(sc))
+    assert sum(calls.values()) == made  # none after the table is built
+    classes = {_pair_class(sc, f) for f in sc.complex.iter_face_masks()}
+    assert made == len(classes) == 52  # once per neighbourhood class
+    assert {_pair_class(sc, f) for f in calls} == classes
 
 
 def brute_chain_violations(images, pairs):
@@ -183,16 +194,23 @@ def _carrier_row(sc):
 
 def test_carrier_row_fails_on_an_image_vertex_off_the_face(ss5, monkeypatch):
     # on a fresh complex, since the fixture's table is shared: one edge's
-    # image gains a pair vertex adjacent to neither of its ends
+    # image gains a pair vertex adjacent to neither of its ends. The table
+    # computes one image per neighbourhood class, so the doctoring goes by
+    # class: every face of the edge's class gains v, and none lies in N[v]
     fresh, g = build(5, "ss"), ss5.complex.graph
     edge, v = next((f, v) for f in ss5.retraction_images if f.bit_count() == 2
                    for v in ss5.antipodal_vertex_indices()
                    if f & ~(g[v] | 1 << v) == f)
+    doctored = _pair_class(ss5, edge)
     real = separation.retraction_image_mask
     monkeypatch.setattr(separation, "retraction_image_mask",
-                        lambda cx, f: real(cx, f) | (1 << v if f == edge else 0))
+                        lambda sc, f: real(sc, f) | (1 << v if _pair_class(sc, f) == doctored
+                                                     else 0))
     row = _carrier_row(fresh)
     assert row.status == "FAIL" and int(row.computed) >= 1
+    assert fresh.retraction_images[edge] >> v & 1
+    assert int(row.computed) == sum(1 for f in fresh.retraction_images
+                                    if _pair_class(ss5, f) == doctored)
     assert _carrier_row(ss5).computed == "0"
     # the image's own vertices must span a face with it: a complementary
     # pair, each vertex adjacent to all of the face, is not
@@ -203,6 +221,20 @@ def test_carrier_row_fails_on_an_image_vertex_off_the_face(ss5, monkeypatch):
     images[face] = 1 << i | 1 << j
     assert carrier_violations(ss5.complex, images) == 1
     assert not ss5.complex.has_face_mask(face | images[face])
+
+
+def test_identity_row_counts_every_face_of_the_cross_polytope(ss4, ss5, ss6, monkeypatch):
+    # the row walks K(n)'s faces, the same set as the faces of ss(n) on its vertices
+    for sc, want in ((ss4, 8), (ss5, 26), (ss6, 80)):
+        kmask = sum(1 << i for i in sc.antipodal_vertex_indices())
+        walked = list(sc.complex.induced_mask(kmask).iter_face_masks())
+        assert len(walked) == want
+        assert walked == [f for f in sc.retraction_images if f & ~kmask == 0]
+    # every image emptied on a fresh complex: each face of K(5) counts once
+    monkeypatch.setattr(separation, "retraction_image_mask", lambda sc, f: 0)
+    rows = {r.check: r.computed for r in retraction_checks(build(5, "ss"))}
+    assert rows["identity-on-cross-polytope ss(5)"] == "26"
+    assert rows["image-nonempty ss(5)"] == "1326"
 
 
 def test_retraction_sweeps_reject_ws(ws4):
