@@ -3,11 +3,11 @@
 Boundary operators are sparse integer matrices, brought to Smith normal form
 by a three-phase elimination. The peel pivots on each +-1 entry alone in its
 row (a free face, the elementary collapse of Kaczynski-Mrozek-Slusarek),
-which deletes its column and causes no fill, until no such row is left. A
-Markowitz phase then pivots on the remaining +-1 entries, cheapest fill
-estimate first from a heap, so the reduction stays fraction-free. A dense
-textbook phase takes whatever small residue is left. All arithmetic is
-arbitrary-precision.
+which deletes its column and causes no fill, until no such row is left. Only
+the columns it leaves, and the rows they touch, go on: a Markowitz phase
+pivots on their +-1 entries, cheapest fill estimate first from a heap, so the
+reduction stays fraction-free, and a dense textbook phase takes whatever
+small residue is left. All arithmetic is arbitrary-precision.
 
 Only the face lists of the complex are kept. Each operator is built from them
 when it is needed, one at a time, as the implicit boundary matrix of Ripser
@@ -17,13 +17,13 @@ the elimination, just before it reduces b_d, and drops it before b_{d-1}.
 `reduced_homology` reduces the operators from the top dimension down with
 clearing (the twist of Chen-Kerber and Bauer-Kerber-Reininghaus): a d-face
 whose row held a +-1 pivot of b_{d+1}, in the peel or the Markowitz phase, is
-skipped as a column of b_d. A peel pivot is a unit pivot of the same
-elimination whose pivot row has no other entry, so its row operations only
-zero the rest of its column, and the pivot block still has determinant +-1.
-With b_d b_{d+1} = 0, a skipped column is then an integer combination of the
-kept ones; the column lattice of b_d, and with it its rank and invariant
-factors, is unchanged. Pivots of the dense phase need not be units and never
-clear a column.
+omitted from the columns of b_d, which are never built. A peel pivot is a
+unit pivot of the same elimination whose pivot row has no other entry, so its
+row operations only zero the rest of its column, and the pivot block still
+has determinant +-1. With b_d b_{d+1} = 0, an omitted column is then an
+integer combination of the kept ones; the column lattice of b_d, and with it
+its rank and invariant factors, is unchanged. Pivots of the dense phase need
+not be units and never clear a column.
 """
 from __future__ import annotations
 
@@ -72,6 +72,10 @@ class HomologyGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.rank < 0:
+            raise ValueError(f"negative rank {self.rank}")
+        if any(t < 2 for t in self.torsion):
+            raise ValueError(f"torsion coefficients must be at least 2: {self.torsion}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")
@@ -126,24 +130,26 @@ class BoundaryOperators(Sequence[SparseIntMatrix]):
         return len(self.faces[d - 1]) if d else 1
 
     def columns(self, d: int, skip: frozenset[int] = frozenset()) -> list[dict[int, int]]:
-        """The columns of b_d, 0 <= d < len(self), as {row: value} dicts; a
-        column in `skip` is left empty. Signs alternate over the vertices of a
-        face in ascending order, starting with + for the omitted lowest vertex."""
+        """The columns of b_d, 0 <= d < len(self), as {row: value} dicts in face
+        order; the columns in `skip` are omitted. Signs alternate over the
+        vertices of a face in ascending order, + for the facet without the
+        lowest vertex."""
         faces = self.faces[d]
         if d == 0:
-            return [{} if j in skip else {0: 1} for j in range(len(faces))]
+            return [{0: 1} for j in range(len(faces)) if j not in skip]
         index = {m: i for i, m in enumerate(self.faces[d - 1])}
         cols: list[dict[int, int]] = []
         for j, f in enumerate(faces):
+            if j in skip:
+                continue
             col: dict[int, int] = {}
-            if j not in skip:
-                sign = 1
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    col[index[f ^ low]] = sign
-                    sign = -sign
+            sign = 1
+            rest = f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                col[index[f ^ low]] = sign
+                sign = -sign
             cols.append(col)
         return cols
 
@@ -179,17 +185,16 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
     The peel pivots on each +-1 entry alone in its row, deleting its column,
     until no such row is left. It keeps per row only the number of live
     entries and the XOR of their column indices, which for a row with one
-    entry is that entry's column. Only the surviving columns enter the row
-    dicts and the heap of the Markowitz phase, and what that leaves goes to
-    `_dense_snf`.
+    entry is that entry's column. The rows wait in a first-in first-out
+    queue: the rows in index order, then each row as it drops to one entry.
+    The order decides which of two singleton rows on one column pivots, and
+    so which columns clearing removes from the next operator down. It leaves
+    none of the 205200 pivots of ws(6) to the Markowitz phase; popping the
+    rows as a stack left 45140.
 
-    The rows wait in a first-in first-out queue: the rows in index order,
-    then each row as it drops to one entry. The order decides which of two
-    singleton rows on one column pivots, and so which columns clearing
-    removes from the next operator down. In this order the peel takes all
-    205200 pivots of ws(6) and all but 207 of the 93600 of ss(6); popping the
-    rows as a stack left 45140 of the ws(6) pivots to the Markowitz phase,
-    which made 589646 fill entries.
+    Only the columns the peel leaves (208 of ss(6)), renumbered in their
+    order so that heap ties break alike, make the heap and the dicts of the
+    rows they touch; `_dense_snf` takes what the Markowitz phase leaves.
     """
     pivot_rows: list[int] = []
     count = [0] * nrows
@@ -216,16 +221,19 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
         pcol.clear()
         pivot_rows.append(pi)
 
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    cols = [col for col in cols if col]  # renumbered in the same order
+    if not cols:
+        return (1,) * len(pivot_rows), pivot_rows
+    touched = sorted({i for col in cols for i in col})
+    rows: list[dict[int, int] | None] = [None] * nrows
+    for i in touched:
+        rows[i] = {}
     for j, col in enumerate(cols):
         for i, v in col.items():
             rows[i][j] = v
 
-    heap: list[tuple[int, int, int]] = []
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            if v == 1 or v == -1:
-                heap.append(((len(rows[i]) - 1) * (len(col) - 1), i, j))
+    heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
+            for j, col in enumerate(cols) for i, v in col.items() if v == 1 or v == -1]
     heapq.heapify(heap)
 
     row_alive = bytearray(b"\x01") * nrows
@@ -273,16 +281,12 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
         col_alive[pj] = 0
         pivot_rows.append(pi)
 
-    residual_rows = [i for i in range(nrows) if row_alive[i] and rows[i]]
+    residual_rows = [i for i in touched if row_alive[i] and rows[i]]
     factors = [1] * len(pivot_rows)
     if residual_rows:
         residual_cols = sorted({j for i in residual_rows for j in rows[i]})
-        cmap = {j: k for k, j in enumerate(residual_cols)}
-        dense = [[0] * len(residual_cols) for _ in residual_rows]
-        for a, i in enumerate(residual_rows):
-            for j, v in rows[i].items():
-                dense[a][cmap[j]] = v
-        factors.extend(_dense_snf(dense))
+        factors.extend(_dense_snf([[rows[i].get(j, 0) for j in residual_cols]
+                                   for i in residual_rows]))
     return tuple(factors), pivot_rows
 
 
@@ -349,7 +353,7 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
 
     The rank in dimension d is f_d - rank(b_d) - rank(b_{d+1}); the torsion
     comes from the invariant factors of b_{d+1} exceeding 1. The operators
-    are reduced from the top dimension down, and b_d skips as columns the
+    are reduced from the top dimension down, and b_d omits the columns of the
     d-faces whose rows held the unit pivots of b_{d+1} (clearing, see the
     module docstring), which leaves every rank and invariant factor as it is.
     Each b_d is built just before it is reduced, without its cleared columns.

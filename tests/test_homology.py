@@ -1,7 +1,8 @@
 """Integer homology: Smith form against a textbook oracle, known spaces,
-the rational-rank cross-check, the free-face peel, and cleared against
-uncleared reduction."""
+the rational-rank cross-check, the free-face peel, cleared against uncleared
+reduction, and the columns clearing keeps out of the elimination."""
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -288,6 +289,68 @@ def test_peel_leaves_the_heap_little_or_nothing(ws4, ws5, ss5, monkeypatch):
     assert sum(lengths) < 283
 
 
+@settings(max_examples=300, deadline=None)
+@given(peelable_matrices(), st.data())
+def test_empty_columns_change_neither_factors_nor_pivots(rows, data):
+    """Empty columns inserted anywhere leave the factors, the pivot rows and
+    the Markowitz heap as they are: the columns the peel leaves are
+    renumbered in their order before the heap is built."""
+    cols = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+    padded = [dict(col) for col in cols]
+    for _ in range(data.draw(st.integers(1, 4))):
+        padded.insert(data.draw(st.integers(0, len(padded))), {})
+    heaps = []
+    real = homology.heapq.heapify
+
+    def recording(heap):
+        heaps.append(list(heap))
+        real(heap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology.heapq, "heapify", recording)
+        plain = homology._rank_and_factors(len(rows), cols)
+        heap = heaps[:]
+        heaps.clear()
+        assert homology._rank_and_factors(len(rows), padded) == plain
+        assert heaps == heap
+    assert list(plain[0]) == oracle_snf(rows)
+
+
+def test_tall_sparse_matrices_match_oracle():
+    """Many rows no column touches, a few sparse columns: the post-peel
+    phases see only the touched rows."""
+    rng = random.Random(20141022)
+    for _ in range(40):
+        nr = rng.randint(20, 60)
+        nc = rng.randint(1, 6)
+        rows = [[0] * nc for _ in range(nr)]
+        for _ in range(rng.randint(1, 3 * nc)):
+            rows[rng.randrange(nr)][rng.randrange(nc)] = rng.choice([-3, -2, -1, 1, 1, 2, 4])
+        assert list(smith_normal_form(from_rows(rows))) == oracle_snf(rows), rows
+
+
+def test_tall_sparse_elimination_allocates_no_dict_per_row():
+    """A 2 x 2 block that needs the dense phase, a +-1 cycle that needs the
+    Markowitz phase, 100000 rows in all: the elimination allocates the two
+    peel counters and a row list, about 25 bytes a row, and no dict for a row
+    that no live column touches (an empty dict alone takes 64 bytes)."""
+    nrows = 100_000
+    rows = {0: {0: 2, 1: 4}, 1: {0: 6, 1: 8}}
+    for k in range(3):  # the boundary of a triangle, without its row singletons
+        rows[50_000 + k] = {2 + k: 1, 2 + (k + 1) % 3: -1}
+    cols = [{i: row[j] for i, row in rows.items() if j in row} for j in range(5)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        factors, pivot_rows = homology._rank_and_factors(nrows, cols)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert factors == (1, 1, 2, 4) and len(pivot_rows) == 2
+    assert peak < 40 * nrows
+
+
 def test_snf_divisibility_chain():
     rng = random.Random(7)
     for _ in range(40):
@@ -452,6 +515,14 @@ def test_homology_group_formatting():
         {"dim": 0, "rank": 2, "torsion": [2]}]
 
 
+@pytest.mark.parametrize("rank, torsion", [(-1, ()), (0, (0, 2)), (1, (1, 2))],
+                         ids=["negative-rank", "zero-torsion", "unit-torsion"])
+def test_homology_group_rejects_impossible_groups(rank, torsion):
+    # an over-counted rank must not print as 0 in a report row
+    with pytest.raises(ValueError):
+        HomologyGroup(rank, torsion)
+
+
 # --- cleared against uncleared reduction ------------------------------------------------
 
 def uncleared_groups(cx):
@@ -497,3 +568,44 @@ def test_cleared_homology_on_paper_complexes(ss4, ws4, ss5, ws5):
         assert_clearing_agrees(sc.complex)
     for sc in (ss5, ws5):
         assert_clearing_agrees(sc.complex.boundary())
+
+
+def assert_only_uncleared_columns_reach_the_elimination(cx):
+    """`_rank_and_factors` receives f_d - rank(b_{d+1}) columns for each d,
+    top down, and pivots on the rows it pivots on when the cleared columns
+    are passed in as empty ones. The count holds when every pivot of
+    b_{d+1} is a unit, as on complexes without torsion: a pivot of the dense
+    phase adds rank and clears nothing."""
+    calls = []
+    real = homology._rank_and_factors
+
+    def recording(nrows, cols):
+        width = len(cols)
+        factors, pivot_rows = real(nrows, cols)
+        calls.append((nrows, width, factors, pivot_rows))
+        return factors, pivot_rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_rank_and_factors", recording)
+        groups = reduced_homology(cx)
+    ops = boundary_matrices(cx)
+    expected = []
+    cleared, rank_above = frozenset(), 0
+    for d in reversed(range(len(ops))):
+        cols = [{} if j in cleared else col for j, col in enumerate(ops.columns(d))]
+        factors, pivot_rows = real(ops.nrows(d), cols)
+        expected.append((ops.nrows(d), len(ops.faces[d]) - rank_above, factors, pivot_rows))
+        cleared, rank_above = frozenset(pivot_rows), len(factors)
+    assert calls == expected
+    return groups
+
+
+def test_only_uncleared_columns_reach_the_elimination_on_ss5(ss5):
+    groups = assert_only_uncleared_columns_reach_the_elimination(ss5.complex)
+    assert [str(g) for g in groups] == ["0", "0", "Z", "0", "0", "0"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_clique_complexes())
+def test_only_uncleared_columns_reach_the_elimination(cx):
+    assert_only_uncleared_columns_reach_the_elimination(cx)

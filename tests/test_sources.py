@@ -1,10 +1,11 @@
 """The sources keep to the Python version the package declares, use what they
-import, and define nothing that goes unused; the README names only what
-exists."""
+import, import nothing outside the standard library, and define nothing that
+goes unused; the README names only what exists."""
 import ast
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,31 @@ def test_the_import_scan_sees_an_unused_name():
     tree = ast.parse("from __future__ import annotations\nimport os\n"
                      "from typing import Any, List as L\nx: Any = os.sep\n")
     assert unused_imports(tree) == ["L"]
+
+
+def foreign_imports(tree):
+    """The absolute imports of a module whose top-level package is not in the
+    standard library, by dotted name: `import` statements, then `from` ones."""
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and not node.level]
+    return [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_modules_import_only_the_standard_library(path):
+    # pyproject.toml declares no dependency, so a clean install has nothing
+    # else, whatever the environment running the tests may hold
+    assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_dependency_scan_sees_a_foreign_import():
+    tree = ast.parse("from __future__ import annotations\nimport os.path, numpy\n"
+                     "from . import homology\nfrom .complexes import Complex\n"
+                     "from collections import deque\nfrom scipy.sparse import csr_matrix\n"
+                     "def f():\n    import networkx as nx\n")
+    assert foreign_imports(tree) == ["numpy", "networkx", "scipy.sparse"]
 
 
 ENVIRONMENT = {"environ", "getenv", "putenv"}
