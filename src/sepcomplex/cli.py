@@ -17,6 +17,7 @@ from .homology import format_homology, homology_summary, reduced_homology
 from .separation import DEFAULT_ENUMERATION_CAP, CapExceeded, build, check_enumeration_cap
 from .verify import (
     CHECK_NAMES,
+    CheckResult,
     any_failed,
     format_results,
     full_report,
@@ -42,19 +43,13 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_complex(path: str, cap: int) -> tuple[Complex, int | None, str | None]:
-    """Read a complex file. Face enumeration walks every subset of every
-    facet, so the cap bounds that work: a facet may have at most
-    C(cap - 1, 2) vertices, the facet size of the ss and ws complexes at the
-    cap, and all facets together at most 2^(C(cap - 1, 2) + cap) subsets, as
-    many as 2^cap facets of that size have."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("complex JSON is nested too deeply") from None
-    cx = Complex.from_dict(data)
-    check_enumeration_cap(0, cap)  # a file has no ground size to bound: check the cap alone
+def _check_face_budget(cx: Complex, cap: int) -> None:
+    """Bound face enumeration, which may walk every subset of every facet,
+    by the cap: a facet may have at most C(cap - 1, 2) vertices, the facet
+    size of the ss and ws complexes at the cap, and all facets together at
+    most 2^(C(cap - 1, 2) + cap) subsets, as many as 2^cap facets of that
+    size have. Raises CapExceeded. Every file is held to it, a built
+    complex only by the verbs that enumerate its faces."""
     most, size = comb(cap - 1, 2), cx.dimension() + 1
     if size > most:
         raise CapExceeded(f"a facet of {size} vertices exceeds {most}, the facet size "
@@ -65,6 +60,18 @@ def _load_complex(path: str, cap: int) -> tuple[Complex, int | None, str | None]
         raise CapExceeded(f"the {len(cx.facets)} facets have {subsets} subsets, above "
                           f"{budget} = 2^({most} + {cap}), the subsets of 2^{cap} facets "
                           f"of {most} vertices at the enumeration cap {cap}")
+
+
+def _load_complex(path: str, cap: int) -> tuple[Complex, int | None, str | None]:
+    """Read a complex file within the face budget of the cap."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("complex JSON is nested too deeply") from None
+    cx = Complex.from_dict(data)
+    check_enumeration_cap(0, cap)  # a file has no ground size to bound: check the cap alone
+    _check_face_budget(cx, cap)
     return cx, data.get("n"), data.get("relation")
 
 
@@ -108,8 +115,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fvector(args: argparse.Namespace) -> int:
+def _cmd_face_counts(args: argparse.Namespace) -> int:
     cx, _, _ = _obtain_complex(args)
+    _check_face_budget(cx, args.cap)
     counts = cx.face_counts()
     sys.stdout.write(" ".join(map(str, counts)) + "\n")
     return EXIT_OK
@@ -117,6 +125,7 @@ def _cmd_fvector(args: argparse.Namespace) -> int:
 
 def _cmd_homology(args: argparse.Namespace) -> int:
     cx, _, _ = _obtain_complex(args)
+    _check_face_budget(cx, args.cap)
     groups = reduced_homology(cx)
     if args.format == "json":
         sys.stdout.write(json.dumps(homology_summary(groups), indent=2, sort_keys=True) + "\n")
@@ -144,21 +153,22 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_named_check(args.check, args.n, args.relation, args.cap)
+def _write_results(results: list[CheckResult], args: argparse.Namespace) -> int:
+    """Write the check rows in --format to --out; the exit code they give."""
     out = results_to_json(results) if args.format == "json" else format_results(results) + "\n"
     _write(out, args.out)
     return EXIT_FAILED_CHECKS if any_failed(results) else EXIT_OK
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    return _write_results(run_named_check(args.check, args.n, args.relation, args.cap), args)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     progress = None
     if args.progress:
         progress = lambda msg: print(f"... {msg}", file=sys.stderr)
-    results = full_report(args.n, progress=progress)
-    out = results_to_json(results) if args.format == "json" else format_results(results) + "\n"
-    _write(out, args.out)
-    return EXIT_FAILED_CHECKS if any_failed(results) else EXIT_OK
+    return _write_results(full_report(args.n, progress=progress), args)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fvector", help="face counts per dimension")
     add_common(p)
-    p.set_defaults(func=_cmd_fvector)
+    p.set_defaults(func=_cmd_face_counts)
 
     p = sub.add_parser("homology", help="reduced integer homology")
     add_common(p)

@@ -86,7 +86,7 @@ def _least_dominated(adj: Sequence[int], alive: int) -> tuple[int, int] | None:
 class Complex:
     """Immutable simplicial complex: vertex labels plus maximal faces."""
 
-    __slots__ = ("labels", "facets", "_graph", "_vmask", "_fvec")
+    __slots__ = ("labels", "facets", "_graph", "_vmask")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         masks = [_mask_of(f, len(labels)) for f in facets]
@@ -94,7 +94,6 @@ class Complex:
         self.facets = _maximal(masks)
         self._graph = None
         self._vmask = None
-        self._fvec = None
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], facet_masks: tuple[int, ...],
@@ -105,7 +104,6 @@ class Complex:
         obj.facets = facet_masks
         obj._graph = graph
         obj._vmask = None
-        obj._fvec = None
         return obj
 
     @classmethod
@@ -230,9 +228,7 @@ class Complex:
 
     def face_counts(self) -> tuple[int, ...]:
         """Number of faces per dimension (the f-vector)."""
-        if self._fvec is None:
-            self._fvec = tuple(len(level) for level in self.face_levels())
-        return self._fvec
+        return tuple(len(level) for level in self.face_levels())
 
     def euler_characteristic(self) -> int:
         return sum(c if d % 2 == 0 else -c for d, c in enumerate(self.face_counts()))
@@ -310,29 +306,17 @@ class Complex:
         return Complex._trusted(self.labels, ridges, None)
 
     def components(self) -> list["Complex"]:
-        """Maximal connected pieces, ordered by smallest vertex index."""
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for v in self.vertices():
-            parent[v] = v
+        """Maximal connected pieces, ordered by smallest vertex index. Each
+        facet joins the pieces whose vertex masks it meets."""
+        pieces: dict[int, list[int]] = {}  # facets, keyed by the piece's vertex mask
         for f in self.facets:
-            vs = _mask_to_tuple(f)
-            for v in vs[1:]:
-                ra, rb = find(vs[0]), find(v)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, list[int]] = {}
-        for f in self.facets:
-            root = find(_mask_to_tuple(f)[0])
-            groups.setdefault(root, []).append(f)
-        ordered = sorted(groups.values(), key=lambda fs: min(fs))
-        return [Complex._trusted(self.labels, tuple(sorted(fs)), self._graph) for fs in ordered]
+            mask, fs = f, [f]
+            for m in [m for m in pieces if m & f]:
+                mask |= m
+                fs += pieces.pop(m)
+            pieces[mask] = fs
+        return [Complex._trusted(self.labels, tuple(sorted(pieces[m])), self._graph)
+                for m in sorted(pieces, key=lambda m: m & -m)]
 
     # -- collapsing ----------------------------------------------------------
 

@@ -236,14 +236,9 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
             for j, col in enumerate(cols) for i, v in col.items() if v == 1 or v == -1]
     heapq.heapify(heap)
 
-    row_alive = bytearray(b"\x01") * nrows
-    col_alive = bytearray(b"\x01") * len(cols)
-
     while heap:
         cost, pi, pj = heapq.heappop(heap)
-        if not (row_alive[pi] and col_alive[pj]):
-            continue
-        v = rows[pi].get(pj)
+        v = rows[pi].get(pj)  # None once row pi or column pj has pivoted
         if v is None or (v != 1 and v != -1):
             continue
         current = (len(rows[pi]) - 1) * (len(cols[pj]) - 1)
@@ -274,14 +269,13 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
                         del rr[c2]
                         del cols[c2][r]
         # the pivot row can now be dropped without fill
-        for c2 in list(prow.keys()):
+        for c2 in prow:
             if c2 != pj:
                 del cols[c2][pi]
-        row_alive[pi] = 0
-        col_alive[pj] = 0
+        prow.clear()
         pivot_rows.append(pi)
 
-    residual_rows = [i for i in touched if row_alive[i] and rows[i]]
+    residual_rows = [i for i in touched if rows[i]]
     factors = [1] * len(pivot_rows)
     if residual_rows:
         residual_cols = sorted({j for i in residual_rows for j in rows[i]})

@@ -38,12 +38,12 @@ class SeparationComplex:
     relation: str
     complex: Complex
     masks: tuple[int, ...]  # subset mask per vertex, canonical order
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
     _pairs: tuple = field(default=(), init=False, repr=False, compare=False)
     _images: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._index.update({m: i for i, m in enumerate(self.masks)})
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.masks)})
         full = subsets.ground_mask(self.n)
         object.__setattr__(self, "_pairs", tuple(
             (self._index[1 << (k - 1)], self._index[full ^ (1 << (k - 1))])
@@ -58,8 +58,9 @@ class SeparationComplex:
                 f"{subset_str(mask, self.n)} is not a vertex of the {self.relation}({self.n}) complex"
             ) from None
 
-    def face_indices(self, face: Iterable[int | str]) -> tuple[int, ...]:
-        return tuple(sorted(self.vertex_index(s) for s in face))
+    def face_mask(self, face: Iterable[int | str]) -> int:
+        """Vertex-index mask of the face on the given subsets (masks or strings)."""
+        return sum(1 << i for i in {self.vertex_index(s) for s in face})
 
     def label(self, index: int) -> str:
         return self.complex.labels[index]

@@ -86,16 +86,14 @@ def any_failed(results: Iterable[CheckResult]) -> bool:
     return any(r.failed for r in results)
 
 
+def _tally(results: Sequence[CheckResult]) -> dict[str, int]:
+    """Rows per status, keyed by the status in lower case."""
+    counts = Counter(r.status for r in results)
+    return {s.lower(): counts[s] for s in (PASS, FAIL, INCONCLUSIVE, SKIPPED)}
+
+
 def results_to_json(results: Sequence[CheckResult]) -> str:
-    payload = {
-        "checks": [asdict(r) for r in results],
-        "summary": {
-            "pass": sum(r.status == PASS for r in results),
-            "fail": sum(r.status == FAIL for r in results),
-            "inconclusive": sum(r.status == INCONCLUSIVE for r in results),
-            "skipped": sum(r.status == SKIPPED for r in results),
-        },
-    }
+    payload = {"checks": [asdict(r) for r in results], "summary": _tally(results)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -110,11 +108,9 @@ def format_results(results: Sequence[CheckResult]) -> str:
         if r.witness:
             line += f" -- {r.witness}"
         lines.append(line)
-    counts = (f"{sum(r.status == PASS for r in results)} passed, "
-              f"{sum(r.status == FAIL for r in results)} failed, "
-              f"{sum(r.status == INCONCLUSIVE for r in results)} inconclusive, "
-              f"{sum(r.status == SKIPPED for r in results)} skipped")
-    lines.append(counts)
+    t = _tally(results)
+    lines.append(f"{t['pass']} passed, {t['fail']} failed, "
+                 f"{t['inconclusive']} inconclusive, {t['skipped']} skipped")
     return "\n".join(lines)
 
 
@@ -140,7 +136,8 @@ def figure_checks(get: Builder = build) -> list[CheckResult]:
         sc = get(3, relation)
         out.append(_row(f"vertices {relation}(3)", "n=3",
                         "('13', '2')", str(tuple(sorted(sc.complex.labels)))))
-        edge_count = sc.complex.face_counts()[1] if len(sc.complex.face_counts()) > 1 else 0
+        counts = sc.complex.face_counts()
+        edge_count = counts[1] if len(counts) > 1 else 0
         out.append(_row(f"edges {relation}(3)", "n=3", 0, edge_count))
     ss4, ws4 = get(4, "ss"), get(4, "ws")
     out.append(_row("f-vector ss(4)", "n=4", (8, 16, 8), ss4.complex.face_counts()))
@@ -520,10 +517,7 @@ def boundary_findings(get: Builder = build) -> list[CheckResult]:
                         "H~1 = Z, H~3 = Z", got,
                         witness=_homology_str(groups)))
 
-    edge = 0
-    for label in ("15", "234"):
-        edge |= 1 << ws5.vertex_index(label)
-    lk_edge = bd_ws.link_mask(edge)
+    lk_edge = bd_ws.link_mask(ws5.face_mask(("15", "234")))
     out.append(_row("link-f-vector lk(15,234)", "boundary ws(5)",
                     (12, 24, 16), lk_edge.face_counts()))
     pieces = lk_edge.components()
@@ -534,10 +528,7 @@ def boundary_findings(get: Builder = build) -> list[CheckResult]:
                     True, shape_ok))
 
     bd_ss = boundaries["ss"]
-    face = 0
-    for label in ("2", "23", "234"):
-        face |= 1 << ss5.vertex_index(label)
-    lk_face = bd_ss.link_mask(face)
+    lk_face = bd_ss.link_mask(ss5.face_mask(("2", "23", "234")))
     out.append(_row("link-f-vector lk(2,23,234)", "boundary ss(5)",
                     (8, 8), lk_face.face_counts()))
     pieces = lk_face.components()

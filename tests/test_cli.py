@@ -73,7 +73,7 @@ def test_link_verb_matches_library(tmp_path, capsys):
     assert code == 0
     got = Complex.from_dict(json.loads(stdout))
     sc = build(5, "ss")
-    want = sc.complex.link(sc.face_indices(["2", "23", "234"]))
+    want = sc.complex.link_mask(sc.face_mask(["2", "23", "234"]))
     assert got.facets == want.facets
 
 
@@ -230,6 +230,19 @@ def test_facet_subsets_above_the_budget_exit_3(tmp_path, capsys):
     assert code == 3
     assert stdout == ""
     assert "the 17 facets have 136 subsets, above 128 = 2^(3 + 4)" in err
+
+
+def test_built_complexes_above_the_budget_exit_3(capsys):
+    # ss(7) and ws(7): 24698 and 259480 facets of C(6, 2) = 15 vertices
+    for argv, facets in ((("fvector", "--n", "7", "--relation", "ss"), 24698),
+                         (("homology", "--n", "7", "--relation", "ws"), 259480)):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert stdout == ""
+        assert f"the {facets} facets have {facets << 15} subsets, above 4194304" in err
+    code, stdout, _ = run_cli(capsys, "fvector", "--n", "6", "--relation", "ws")
+    assert code == 0
+    assert stdout == "52 843 6356 26501 66816 106391 107924 67770 24052 3694\n"
 
 
 def test_many_facets_exit_3_before_enumerating(tmp_path, capsys):

@@ -561,3 +561,25 @@ def test_json_round_trip_on_random_complexes(cx):
     again = Complex.from_dict(json.loads(json.dumps(cx.to_dict())))
     assert again == cx
     assert again.face_counts() == cx.face_counts()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_clique_complexes(), random_facet_complexes()))
+@example(Complex(list("abcdef"), [(0, 5), (1, 2)]))
+def test_components_are_the_connected_pieces_by_lowest_vertex(cx):
+    pieces = cx.components()
+    assert sorted(f for p in pieces for f in p.facets) == list(cx.facets)
+    masks = [p.vertex_mask for p in pieces]
+    assert all(not a & b for a, b in combinations(masks, 2))
+    for p in pieces:
+        edges = {e for t in p.facet_tuples() for e in combinations(t, 2)}
+        reached, todo = set(), [p.vertices()[0]]
+        while todo:
+            v = todo.pop()
+            if v not in reached:
+                reached.add(v)
+                todo.extend(w for e in edges if v in e for w in e)
+        assert reached == set(p.vertices())
+    assert Complex(cx.labels, [t for p in pieces for t in p.facet_tuples()]) == cx
+    lowest = [m & -m for m in masks]
+    assert lowest == sorted(lowest)

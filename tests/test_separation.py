@@ -98,6 +98,16 @@ def test_vertex_index_lookup(ss4):
         ss4.vertex_index("1")  # frozen
 
 
+def test_face_mask(ss4):
+    labels = ("2", "13", "14")
+    assert ss4.face_mask(labels) == sum(1 << ss4.vertex_index(s) for s in labels)
+    assert ss4.face_mask([0b0101, "13"]) == 1 << ss4.vertex_index("13")
+    assert ss4.face_mask([]) == 0
+    for unknown in ("1", "99"):  # frozen, not a subset of [4]
+        with pytest.raises(ValueError):
+            ss4.face_mask(["2", unknown])
+
+
 def test_vertex_permutations(ss4):
     for g in GENERATORS:
         perm = ss4.vertex_permutation(g)
