@@ -9,12 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 from typing import Sequence
 
 from .complexes import Complex
 from .homology import format_homology, homology_summary, reduced_homology
-from .separation import DEFAULT_ENUMERATION_CAP, CapExceeded, build, check_enumeration_cap
+from .separation import (
+    DEFAULT_ENUMERATION_CAP,
+    CapExceeded,
+    build,
+    check_enumeration_cap,
+    check_face_budget,
+)
 from .verify import (
     CHECK_NAMES,
     CheckResult,
@@ -43,25 +48,6 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_face_budget(cx: Complex, cap: int) -> None:
-    """Bound face enumeration, which may walk every subset of every facet,
-    by the cap: a facet may have at most C(cap - 1, 2) vertices, the facet
-    size of the ss and ws complexes at the cap, and all facets together at
-    most 2^(C(cap - 1, 2) + cap) subsets, as many as 2^cap facets of that
-    size have. Raises CapExceeded. Every file is held to it, a built
-    complex only by the verbs that enumerate its faces."""
-    most, size = comb(cap - 1, 2), cx.dimension() + 1
-    if size > most:
-        raise CapExceeded(f"a facet of {size} vertices exceeds {most}, the facet size "
-                          f"of ss({cap}) and ws({cap}) at the enumeration cap {cap}")
-    subsets = sum(1 << f.bit_count() for f in cx.facets)
-    budget = 1 << min(most + cap, subsets.bit_length())  # no huge power for a huge cap
-    if subsets > budget:
-        raise CapExceeded(f"the {len(cx.facets)} facets have {subsets} subsets, above "
-                          f"{budget} = 2^({most} + {cap}), the subsets of 2^{cap} facets "
-                          f"of {most} vertices at the enumeration cap {cap}")
-
-
 def _load_complex(path: str, cap: int) -> tuple[Complex, int | None, str | None]:
     """Read a complex file within the face budget of the cap."""
     with open(path, encoding="utf-8") as fh:
@@ -71,7 +57,7 @@ def _load_complex(path: str, cap: int) -> tuple[Complex, int | None, str | None]
             raise ValueError("complex JSON is nested too deeply") from None
     cx = Complex.from_dict(data)
     check_enumeration_cap(0, cap)  # a file has no ground size to bound: check the cap alone
-    _check_face_budget(cx, cap)
+    check_face_budget(cx, cap)
     return cx, data.get("n"), data.get("relation")
 
 
@@ -117,7 +103,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_face_counts(args: argparse.Namespace) -> int:
     cx, _, _ = _obtain_complex(args)
-    _check_face_budget(cx, args.cap)
+    check_face_budget(cx, args.cap)
     counts = cx.face_counts()
     sys.stdout.write(" ".join(map(str, counts)) + "\n")
     return EXIT_OK
@@ -125,7 +111,7 @@ def _cmd_face_counts(args: argparse.Namespace) -> int:
 
 def _cmd_homology(args: argparse.Namespace) -> int:
     cx, _, _ = _obtain_complex(args)
-    _check_face_budget(cx, args.cap)
+    check_face_budget(cx, args.cap)
     groups = reduced_homology(cx)
     if args.format == "json":
         sys.stdout.write(json.dumps(homology_summary(groups), indent=2, sort_keys=True) + "\n")

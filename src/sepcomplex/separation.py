@@ -8,6 +8,7 @@ and ordered canonically by mask value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Iterable
 
 from . import subsets
@@ -28,6 +29,25 @@ def check_enumeration_cap(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
         raise ValueError(f"the enumeration cap must be at least 1, got {cap}")
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
+
+
+def check_face_budget(cx: Complex, cap: int) -> None:
+    """Bound face enumeration, which may walk every subset of every facet,
+    by the cap: a facet may have at most C(cap - 1, 2) vertices, the facet
+    size of the ss and ws complexes at the cap, and all facets together at
+    most 2^(C(cap - 1, 2) + cap) subsets, as many as 2^cap facets of that
+    size have. Raises CapExceeded. Every file is held to it, a built
+    complex only by the verbs and named checks that walk its faces."""
+    most, size = comb(cap - 1, 2), cx.dimension() + 1
+    if size > most:
+        raise CapExceeded(f"a facet of {size} vertices exceeds {most}, the facet size "
+                          f"of ss({cap}) and ws({cap}) at the enumeration cap {cap}")
+    subsets = sum(1 << f.bit_count() for f in cx.facets)
+    budget = 1 << min(most + cap, subsets.bit_length())  # no huge power for a huge cap
+    if subsets > budget:
+        raise CapExceeded(f"the {len(cx.facets)} facets have {subsets} subsets, above "
+                          f"{budget} = 2^({most} + {cap}), the subsets of 2^{cap} facets "
+                          f"of {most} vertices at the enumeration cap {cap}")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ Every retraction row reads the complex's one table of retraction images,
 SeparationComplex.retraction_images, which is built on first use, and
 sweeps every face, or every face of K(n) for identity-on-cross-polytope;
 none samples. The chain condition counts the faces that have a violating
-subface. The carrier-containment and retraction-equivariance sweeps cost
-O(1) per face, the chain-condition sweep O(dim f) per face, one lookup
-per vertex of f; all three count exactly what a face-by-face test would.
-The table lists the faces by dimension, so f less a vertex comes one
-level before f: the chain sweep builds the union of f's subfaces' images
-from the faces f less each vertex, and the equivariance sweep f's
-permuted mask from f less its lowest vertex. Carrier containment tests
+subface. The carrier-containment, retraction-equivariance and
+chain-condition sweeps cost O(1) per face, and all three count exactly
+what a face-by-face test would. The table lists the faces by dimension, so
+f less its lowest vertex comes one level before f: from that face the
+equivariance sweep builds f's permuted mask, and the chain sweep the union
+of the images of f's vertices, which is the union of its proper subfaces'
+images wherever each image lies inside its vertices' union, as on the
+paper's tables. Where one does not, the chain sweep carries the excess up
+from each face's facets, exactly, level by level. Carrier containment tests
 f | img against one mask per distinct image, the closed neighbourhoods of
 its vertices ANDed, which is exact because f is a clique. The covering
 checks work on vertex masks: the members of the deletion covering and of
@@ -47,6 +49,7 @@ from .separation import (
     antipodal_subcomplex,
     build,
     check_enumeration_cap,
+    check_face_budget,
 )
 from .subsets import GENERATORS, MAX_GROUND_SIZE, ground_mask
 
@@ -215,32 +218,49 @@ def antipodal_checks(n: int) -> list[CheckResult]:
 def chain_violations(images: dict[int, int], pairs: Sequence[tuple[int, int]]) -> int:
     """Faces with a nonempty proper subface whose image, joined with the
     face's own, holds one of the complementary `pairs`; a violation on any
-    chain already shows on such a pair. Exhaustive: U(f), the union of the
-    images of the nonempty proper subfaces of f, is the union over v in f of
-    img(f - v) | U(f - v), kept for one dimension. Images hold no pair, so f
-    violates iff the partners of img(f) meet U(f). `images` must list the
-    faces by dimension; SeparationComplex.retraction_images, which the
-    chain-condition rows pass, does.
+    chain already shows on such a pair. Exhaustive, at O(1) per face.
+
+    Let U(f) be the union of the images of the nonempty proper subfaces of
+    f, and W(f) the union of the images of its vertices, folded by the
+    lowest vertex v: W(f) = W(f - v) | img(v). For |f| >= 2,
+    U(f) = W(f) | X(f), X(f) the OR of the excess img(s) & ~W(s) over the
+    proper subfaces s of f with |s| >= 2. So f violates iff img(f) holds a
+    pair, or the partners of img(f) meet W(f) | X(f), or a proper subface's
+    image holds a pair. The excess, on pair vertices, and a bit `held` for
+    an image that holds a pair are kept only where nonzero, and a face ORs
+    its facets' (one level down) only while that level has some; on the
+    paper's tables, where every image lies inside W, none has. `images` must
+    list the faces by dimension; SeparationComplex.retraction_images, which
+    the chain-condition rows pass, does.
     """
+    pair_bits = sum(1 << i | 1 << j for i, j in pairs)
+    held = 1 << pair_bits.bit_length()
     partners: dict[int, int] = {}
-    below, here, size = {}, {0: 0}, 0  # img | U per face, by dimension
+    below, here, size = {}, {0: 0}, 0  # W per face, by dimension
+    extra_below, extra = {}, {}  # excess and `held` per face where nonzero
     violations = 0
     for f, img in images.items():
         if f.bit_count() != size:
             below, here, size = here, {}, f.bit_count()
-        union = 0
-        rest = f
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            union |= below[f ^ low]
+            extra_below, extra = extra, {}
+        low = f & -f
+        w = here[f] = below[f ^ low] | images[low]
         partner = partners.get(img)
         if partner is None:
             partner = partners[img] = sum(
                 (img >> i & 1) << j | (img >> j & 1) << i for i, j in pairs)
-        if partner & union:
+        x = 0
+        if extra_below:
+            rest = f
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                x |= extra_below.get(f ^ v, 0)
+        if (partner & (img | w | x) or x & held) and size > 1:
             violations += 1
-        here[f] = img | union
+        x |= img & ~w & pair_bits | (held if partner & img else 0)
+        if x:
+            extra[f] = x
     return violations
 
 
@@ -550,7 +570,9 @@ def boundary_findings(get: Builder = build) -> list[CheckResult]:
 class Check:
     """A named check: run(get, n, rel) gives its rows, building complexes with
     get(n, rel); rel is None if it takes no relation. The report runs it at
-    each n in report_sizes(nmax), relations innermost, announcing `stage`."""
+    each n in report_sizes(nmax), relations innermost, announcing `stage`.
+    On the relations in `walks` it walks the faces of the complex it builds,
+    so run_named_check holds that complex to the face budget first."""
 
     name: str
     relations: tuple[str, ...]  # the relations it runs on; --relation narrows them
@@ -558,6 +580,7 @@ class Check:
     run: Callable[..., list[CheckResult]]
     stage: str = ""
     report_sizes: Callable[[int], Iterable[int]] = lambda nmax: ()
+    walks: tuple[str, ...] = ()
 
 
 _PAPER_SIZES = range(4, MAX_GROUND_SIZE + 1)  # the claims are about n >= 4
@@ -575,31 +598,33 @@ CHECKS = (
           "figure counts", lambda nmax: (3,)),
     Check("contractibility", ("ws",), _PAPER_SIZES,
           lambda get, n, rel: contractibility_shadow(get(n, rel)),
-          "contractibility shadow {rel}({n})", _built_sizes),
+          "contractibility shadow {rel}({n})", _built_sizes, walks=("ws",)),
     Check("sphere", ("ss",), _PAPER_SIZES,
           lambda get, n, rel: [sphere_shadow(get(n, rel))],
-          "sphere shadow {rel}({n})", _built_sizes),
+          "sphere shadow {rel}({n})", _built_sizes, walks=("ss",)),
     Check("purity", ("ss", "ws"), _PAPER_SIZES,
           lambda get, n, rel: [purity_check(get(n, rel))]),
     Check("cross-polytope", (), _PAPER_SIZES, lambda get, n, rel: antipodal_checks(n),
           "cross polytope n={n}", lambda nmax: range(4, 8)),
     Check("retraction", ("ss",), _PAPER_SIZES,
           lambda get, n, rel: retraction_checks(get(n, rel)),
-          "retraction checks {rel}({n})", _built_sizes),
+          "retraction checks {rel}({n})", _built_sizes, walks=("ss",)),
     Check("lemma-4-4", ("ss",), _PAPER_SIZES,
           lambda get, n, rel: [_violations_row(
               "image-nonempty", sc := get(n, rel),
-              sum(1 for img in sc.retraction_images.values() if img == 0))]),
+              sum(1 for img in sc.retraction_images.values() if img == 0))],
+          walks=("ss",)),
     Check("chain-condition", ("ss",), _PAPER_SIZES,
           lambda get, n, rel: [_violations_row(
               "chain-condition", sc := get(n, rel),
-              chain_violations(sc.retraction_images, sc.singleton_pair_indices()))]),
+              chain_violations(sc.retraction_images, sc.singleton_pair_indices()))],
+          walks=("ss",)),
     Check("equivariance", ("ss", "ws"), _PAPER_SIZES,
           lambda get, n, rel: equivariance_checks(get(n, rel)),
-          "equivariance {rel}({n})", _built_sizes),
+          "equivariance {rel}({n})", _built_sizes, walks=("ss",)),
     Check("covering", ("ws",), _PAPER_SIZES,
           lambda get, n, rel: covering_checks(sc := get(n, rel)) + star_cover_checks(sc),
-          "covering checks {rel}({n})", _built_sizes),
+          "covering checks {rel}({n})", _built_sizes, walks=("ws",)),
     Check("cone-points", ("ws",), _PAPER_SIZES,
           lambda get, n, rel: star_cover_checks(get(n, rel))),
     Check("boundary-findings", (), range(5, 6),
@@ -613,7 +638,9 @@ CHECK_NAMES = tuple(check.name for check in CHECKS)
 def run_named_check(name: str, n: int, relation: str | None = None,
                     cap: int = DEFAULT_ENUMERATION_CAP) -> list[CheckResult]:
     """Run one row of CHECKS at ground size n, on `relation` if given, else
-    on every relation the check takes."""
+    on every relation the check takes. Raises CapExceeded, before any face
+    walk, if n is above the cap or a complex the check walks is above the
+    face budget (check_face_budget)."""
     check = next((c for c in CHECKS if c.name == name), None)
     if check is None:
         raise ValueError(f"unknown check {name!r}")
@@ -624,9 +651,12 @@ def run_named_check(name: str, n: int, relation: str | None = None,
         raise ValueError(f"check {name} is defined at n = {lo}"
                          + (f"..{hi}" if hi > lo else "") + f", got n = {n}")
     check_enumeration_cap(n, cap)
-    get = lambda m, rel: build(m, rel, cap)
-    return [row for rel in ((relation,) if relation else check.relations or (None,))
-            for row in check.run(get, n, rel)]
+    get = functools.cache(lambda m, rel: build(m, rel, cap))
+    relations = (relation,) if relation else check.relations or (None,)
+    for rel in relations:
+        if rel in check.walks:
+            check_face_budget(get(n, rel).complex, cap)
+    return [row for rel in relations for row in check.run(get, n, rel)]
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,32 @@ def test_built_complexes_above_the_budget_exit_3(capsys):
     assert stdout == "52 843 6356 26501 66816 106391 107924 67770 24052 3694\n"
 
 
+def test_named_checks_that_walk_faces_are_held_to_the_budget(capsys, monkeypatch):
+    # ss(7) is over the default budget, so the retraction rows exit 3 rather
+    # than walk its faces, while purity reads only facets and runs
+    code, stdout, err = run_cli(capsys, "verify", "retraction", "--n", "7", "--relation", "ss")
+    assert (code, stdout) == (3, "")
+    assert "the 24698 facets have 809304064 subsets, above 4194304" in err
+    assert run_cli(capsys, "verify", "purity", "--n", "7")[0] == 0
+    # at --cap 6 the budget is 2^(10 + 6) subsets, under ss(6) and ws(6):
+    # every check that walks their faces exits 3 before any face is walked
+    # (equivariance too, on ss, unless --relation ws narrows it), and the
+    # checks that read only facets or K(6) still pass
+    def no_walk(cx):
+        raise AssertionError("a face walk before the budget was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(Complex, "face_levels", no_walk)
+        for check in ("sphere", "contractibility", "retraction", "lemma-4-4",
+                      "chain-condition", "covering", "equivariance"):
+            code, stdout, err = run_cli(capsys, "verify", check, "--n", "6", "--cap", "6")
+            assert (code, stdout) == (3, ""), check
+            assert "subsets, above 65536 = 2^(10 + 6)" in err
+    for argv in (("purity",), ("cross-polytope",), ("equivariance", "--relation", "ws")):
+        code, stdout, _ = run_cli(capsys, "verify", *argv, "--n", "6", "--cap", "6")
+        assert code == 0 and "0 failed" in stdout, argv
+
+
 def test_many_facets_exit_3_before_enumerating(tmp_path, capsys):
     rng = random.Random(11)
     facets = {tuple(sorted(rng.sample(range(30), 15))) for _ in range(10000)}

@@ -143,15 +143,10 @@ def brute_chain_violations(images, pairs):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_chain_violations_match_brute_force(ss4, ss5, data):
+    # pair vertices added to or set as images, on the true table or an
+    # all-zero one: images may leave their vertices' union, or hold a pair
     sc = data.draw(st.sampled_from([ss4, ss5]))
-    images = dict(sc.retraction_images)  # the fixtures' table is shared: edit a copy
-    if data.draw(st.booleans()):
-        images = dict.fromkeys(images, 0)
-    faces = list(images)
-    injected = st.tuples(st.sampled_from(faces),
-                         st.sampled_from(sc.antipodal_vertex_indices()))
-    for f, v in data.draw(st.lists(injected, min_size=1, max_size=6)):
-        images[f] = 1 << v
+    images = _injected_images(sc, data, zero=data.draw(st.booleans()))
     pairs = sc.singleton_pair_indices()
     assert chain_violations(images, pairs) == brute_chain_violations(images, pairs)
 
@@ -168,10 +163,40 @@ def test_chain_violations_see_subfaces_two_dimensions_down(ss4, ss5):
         assert brute_chain_violations(images, pairs) == 1
 
 
-def _injected_images(sc, data):
-    """A copy of the table (the fixtures' is shared) with pair vertices
-    added to, or set as, the images of a few drawn faces."""
-    images = dict(sc.retraction_images)
+def test_chain_violations_see_excess_two_levels_below(ss5):
+    # an edge's image leaves its vertices' (empty) images, the triangles
+    # above it keep empty images, and a tetrahedron on the edge holds the
+    # partner: only the tetrahedron violates
+    images = dict.fromkeys(ss5.retraction_images, 0)
+    tetra = next(f for f in images if f.bit_count() == 4)
+    rest = tetra & tetra - 1
+    edge = tetra & -tetra | rest & -rest  # its two lowest vertices
+    pairs = ss5.singleton_pair_indices()
+    i, j = pairs[0]
+    images[edge], images[tetra] = 1 << i, 1 << j
+    assert chain_violations(images, pairs) == 1
+    assert brute_chain_violations(images, pairs) == 1
+
+
+def test_every_image_lies_in_its_vertices_images(ss4, ss5, ss6):
+    # the fact that keeps chain_violations off its excess path on the
+    # paper's tables: no image has a vertex outside its face's vertex images
+    for sc, faces in ((ss4, 32), (ss5, 1326), (ss6, 187200)):
+        images = sc.retraction_images
+        exceptions = 0
+        for f, img in images.items():
+            union = 0
+            for v in _mask_to_tuple(f):
+                union |= images[1 << v]
+            exceptions += img & ~union != 0
+        assert (len(images), exceptions) == (faces, 0)
+
+
+def _injected_images(sc, data, zero=False):
+    """A copy of the table (the fixtures' is shared), or an all-zero table
+    if `zero`, with pair vertices added to, or set as, the images of a few
+    drawn faces."""
+    images = dict.fromkeys(sc.retraction_images, 0) if zero else dict(sc.retraction_images)
     injected = st.tuples(st.sampled_from(list(images)),
                          st.sampled_from(sc.antipodal_vertex_indices()), st.booleans())
     for f, v, replace in data.draw(st.lists(injected, min_size=1, max_size=6)):
