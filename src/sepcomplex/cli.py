@@ -71,8 +71,8 @@ def _obtain_complex(args: argparse.Namespace) -> tuple[Complex, int | None, str 
     return sc.complex, sc.n, sc.relation
 
 
-def _parse_face(cx: Complex, text: str) -> list[int]:
-    """Resolve a face given as subset strings, e.g. '15,234'.
+def _parse_face(cx: Complex, text: str) -> int:
+    """Resolve a face given as subset strings, e.g. '15,234', to its vertex mask.
 
     Labels for n >= 10 contain commas, so there ';' separates the vertices.
     """
@@ -81,13 +81,13 @@ def _parse_face(cx: Complex, text: str) -> list[int]:
         tokens = [t.strip() for t in text.split(";")]
     else:
         tokens = [t.strip() for t in text.split(",")]
-    face = []
+    face = 0
     for token in tokens:
         if token not in labels:
             raise ValueError(f"{token!r} is not a vertex label of this complex")
-        if labels[token] in face:
+        if face >> labels[token] & 1:
             raise ValueError(f"{token!r} is repeated in the face")
-        face.append(labels[token])
+        face |= 1 << labels[token]
     return face
 
 
@@ -124,11 +124,11 @@ def _cmd_local(args: argparse.Namespace) -> int:
     cx, n, relation = _obtain_complex(args)
     face = _parse_face(cx, args.face)
     if args.verb == "link":
-        result = cx.link(face)
+        result = cx.link_mask(face)
     elif args.verb == "star":
-        result = cx.star(face)
+        result = cx.star_mask(face)
     else:
-        result = cx.deletion(face)
+        result = cx.deletion_mask(face)
     _write(_complex_json(result, n, relation), args.out)
     return EXIT_OK
 

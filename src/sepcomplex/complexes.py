@@ -40,6 +40,17 @@ def _mask_to_tuple(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _permute_mask(m: int, perm: Sequence[int] | Mapping[int, int]) -> int:
+    """The mask of the vertices perm[v], v in m; perm a sequence or a dict."""
+    r = 0
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        r |= 1 << perm[low.bit_length() - 1]
+    return r
+
+
 def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
     """Drop masks contained in another; dedupe; sort ascending. Distinct
     masks of one size never contain each other, so each mask is tested only
@@ -84,15 +95,17 @@ def _least_dominated(adj: Sequence[int], alive: int) -> tuple[int, int] | None:
 
 
 class Complex:
-    """Immutable simplicial complex: vertex labels plus maximal faces."""
+    """Immutable simplicial complex: vertex labels plus maximal faces, and
+    `graph`, the adjacency masks when this is a clique complex of a known
+    graph, else None."""
 
-    __slots__ = ("labels", "facets", "_graph", "_vmask")
+    __slots__ = ("labels", "facets", "graph", "_vmask")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         masks = [_mask_of(f, len(labels)) for f in facets]
         self.labels = tuple(labels)
         self.facets = _maximal(masks)
-        self._graph = None
+        self.graph = None
         self._vmask = None
 
     @classmethod
@@ -102,7 +115,7 @@ class Complex:
         obj = cls.__new__(cls)
         obj.labels = labels
         obj.facets = facet_masks
-        obj._graph = graph
+        obj.graph = graph
         obj._vmask = None
         return obj
 
@@ -111,11 +124,6 @@ class Complex:
         return cls(labels, [])
 
     # -- basics ------------------------------------------------------------
-
-    @property
-    def graph(self) -> tuple[int, ...] | None:
-        """Adjacency masks when this is a clique complex of a known graph."""
-        return self._graph
 
     @property
     def vertex_mask(self) -> int:
@@ -162,7 +170,7 @@ class Complex:
     def has_face_mask(self, m: int) -> bool:
         if m == 0:
             return not self.is_empty
-        g = self._graph
+        g = self.graph
         if g is not None:
             if m & ~self.vertex_mask:
                 return False
@@ -176,9 +184,6 @@ class Complex:
             return True
         return any(m & ~f == 0 for f in self.facets)
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        return self.has_face_mask(_mask_of(face, len(self.labels)))
-
     def face_levels(self) -> Iterator[list[int]]:
         """Faces of each dimension from 0 up, one list of masks per dimension.
 
@@ -188,7 +193,7 @@ class Complex:
         subsets of its facets. The lists are the walker's own: read them,
         do not modify them.
         """
-        g = self._graph
+        g = self.graph
         if g is None:
             # 1 << v grows with v, so bit tuples sort like vertex tuples
             bits = [tuple(1 << v for v in _mask_to_tuple(f)) for f in self.facets]
@@ -240,45 +245,33 @@ class Complex:
             raise ValueError(f"{what} requires a face of the complex")
 
     def star_mask(self, m: int) -> "Complex":
+        """Faces whose union with the face m is still a face."""
         self._require_face(m, "star")
         kept = tuple(f for f in self.facets if f & m == m)
-        return Complex._trusted(self.labels, kept, self._graph)
-
-    def star(self, face: Iterable[int]) -> "Complex":
-        """Faces whose union with the given face is still a face."""
-        return self.star_mask(_mask_of(face, len(self.labels)))
+        return Complex._trusted(self.labels, kept, self.graph)
 
     def deletion_mask(self, m: int) -> "Complex":
+        """Faces disjoint from the vertex set m."""
         return self.induced_mask(~m)
 
-    def deletion(self, vertex_set: Iterable[int]) -> "Complex":
-        """Faces disjoint from the given vertex set."""
-        return self.deletion_mask(_mask_of(vertex_set, len(self.labels)))
-
     def link_mask(self, m: int) -> "Complex":
+        """Star intersected with deletion: faces joinable to and disjoint from the face m."""
         self._require_face(m, "link")
         kept = tuple(sorted(f & ~m for f in self.facets if f & m == m))
         kept = tuple(k for k in kept if k)
-        return Complex._trusted(self.labels, kept, self._graph)
-
-    def link(self, face: Iterable[int]) -> "Complex":
-        """Star intersected with deletion: faces joinable to and disjoint from the face."""
-        return self.link_mask(_mask_of(face, len(self.labels)))
+        return Complex._trusted(self.labels, kept, self.graph)
 
     def induced_mask(self, vm: int) -> "Complex":
+        """Subcomplex of faces supported on the vertex set vm."""
         kept = _maximal(f & vm for f in self.facets)
-        return Complex._trusted(self.labels, kept, self._graph)
-
-    def induced(self, vertex_set: Iterable[int]) -> "Complex":
-        """Subcomplex of faces supported on the given vertices."""
-        return self.induced_mask(_mask_of(vertex_set, len(self.labels)))
+        return Complex._trusted(self.labels, kept, self.graph)
 
     def intersection(self, other: "Complex") -> "Complex":
         """Faces common to both complexes (same vertex table required)."""
         if self.labels != other.labels:
             raise ValueError("intersection requires complexes over the same vertex table")
         common = _maximal(f & g for f in self.facets for g in other.facets)
-        graph = self._graph if self._graph is not None and self._graph is other._graph else None
+        graph = self.graph if self.graph is not None and self.graph is other.graph else None
         return Complex._trusted(self.labels, common, graph)
 
     def cone_points(self) -> tuple[int, ...]:
@@ -315,7 +308,7 @@ class Complex:
                 mask |= m
                 fs += pieces.pop(m)
             pieces[mask] = fs
-        return [Complex._trusted(self.labels, tuple(sorted(pieces[m])), self._graph)
+        return [Complex._trusted(self.labels, tuple(sorted(pieces[m])), self.graph)
                 for m in sorted(pieces, key=lambda m: m & -m)]
 
     # -- collapsing ----------------------------------------------------------
@@ -328,10 +321,10 @@ class Complex:
         smaller graph, so each step edits adjacency masks; a dominated face
         of dimension 2 or more is no step. Reaching a single vertex certifies
         contractibility; getting stuck decides nothing."""
-        if self._graph is None:
+        if self.graph is None:
             raise ValueError("the greedy collapse runs on clique complexes only")
         alive = self.vertex_mask
-        adj = [a & alive for a in self._graph]
+        adj = [a & alive for a in self.graph]
         steps = 0
         while alive & (alive - 1):
             face = _least_dominated(adj, alive)
@@ -585,18 +578,9 @@ def isomorphic(x: Complex, y: Complex) -> dict[int, int] | None:
     y_facets = set(y.facets)
     mapping: dict[int, int] = {}
 
-    def translate(mask: int) -> int:
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            out |= 1 << mapping[low.bit_length() - 1]
-        return out
-
     def backtrack(i: int) -> bool:
         if i == len(vx):
-            return all(translate(f) in y_facets for f in x.facets)
+            return all(_permute_mask(f, mapping) in y_facets for f in x.facets)
         v = vx[i]
         degree = adjx[v].bit_count()
         used = set(mapping.values())

@@ -82,9 +82,6 @@ class SeparationComplex:
         """Vertex-index mask of the face on the given subsets (masks or strings)."""
         return sum(1 << i for i in {self.vertex_index(s) for s in face})
 
-    def label(self, index: int) -> str:
-        return self.complex.labels[index]
-
     def vertex_permutation(self, g: Callable[[int, int], int]) -> tuple[int, ...]:
         """Index permutation induced by a symmetry generator of the ground set
         (one of subsets.GENERATORS)."""
@@ -215,5 +212,5 @@ def deletion_covering(sc: SeparationComplex) -> Covering:
         raise ValueError("the deletion covering needs n >= 4")
     deleted = [v for pair in sc.singleton_pair_indices() for v in pair]
     members = [sc.complex.deletion_mask(1 << v) for v in deleted]
-    labels = [f"dl({sc.label(v)})" for v in deleted]
+    labels = [f"dl({sc.complex.labels[v]})" for v in deleted]
     return Covering(sc.complex, tuple(members), tuple(labels))

@@ -41,7 +41,14 @@ from dataclasses import asdict, dataclass
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .complexes import Complex, _mask_to_tuple, _maximal, cross_polytope_boundary, isomorphic
+from .complexes import (
+    Complex,
+    _mask_to_tuple,
+    _maximal,
+    _permute_mask,
+    cross_polytope_boundary,
+    isomorphic,
+)
 from .homology import HomologyGroup, reduced_homology
 from .separation import (
     DEFAULT_ENUMERATION_CAP,
@@ -282,16 +289,6 @@ def carrier_violations(cx: Complex, images: dict[int, int]) -> int:
     return sum(1 for f, img in images.items() if (f | img) & ~common[img])
 
 
-def _permute_mask(m: int, perm: Sequence[int]) -> int:
-    r = 0
-    rest = m
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        r |= 1 << perm[low.bit_length() - 1]
-    return r
-
-
 def equivariance_violations(images: dict[int, int], perms: Sequence[Sequence[int]]) -> int:
     """Pairs (perm, face f) with images[perm(f)] != perm(images[f]), one per
     mismatch. Exact: perm(f) is perm(f - v) | perm(v) for the lowest vertex v
@@ -499,7 +496,11 @@ def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
 # boundary findings at n = 5
 # ---------------------------------------------------------------------------
 
-_SQUARE = Complex(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (0, 3)])
+def _two_cross_polytopes(cx: Complex, m: int) -> bool:
+    """Whether cx has two components, each an (m-1)-sphere cross-polytope boundary."""
+    pieces = cx.components()
+    reference = cross_polytope_boundary(m)
+    return len(pieces) == 2 and all(isomorphic(p, reference) is not None for p in pieces)
 
 
 def boundary_findings(get: Builder = build) -> list[CheckResult]:
@@ -540,22 +541,15 @@ def boundary_findings(get: Builder = build) -> list[CheckResult]:
     lk_edge = bd_ws.link_mask(ws5.face_mask(("15", "234")))
     out.append(_row("link-f-vector lk(15,234)", "boundary ws(5)",
                     (12, 24, 16), lk_edge.face_counts()))
-    pieces = lk_edge.components()
-    octa = cross_polytope_boundary(3)
-    shape_ok = (len(pieces) == 2
-                and all(isomorphic(p, octa) is not None for p in pieces))
     out.append(_row("link-two-octahedra lk(15,234)", "boundary ws(5)",
-                    True, shape_ok))
+                    True, _two_cross_polytopes(lk_edge, 3)))
 
     bd_ss = boundaries["ss"]
     lk_face = bd_ss.link_mask(ss5.face_mask(("2", "23", "234")))
     out.append(_row("link-f-vector lk(2,23,234)", "boundary ss(5)",
                     (8, 8), lk_face.face_counts()))
-    pieces = lk_face.components()
-    cycles_ok = (len(pieces) == 2
-                 and all(isomorphic(p, _SQUARE) is not None for p in pieces))
     out.append(_row("link-two-squares lk(2,23,234)", "boundary ss(5)",
-                    True, cycles_ok))
+                    True, _two_cross_polytopes(lk_face, 2)))
     groups = reduced_homology(lk_face)
     out.append(_row("link-homology lk(2,23,234)", "boundary ss(5)",
                     "H~0 = Z; H~1 = Z^2", _homology_str(groups)))
@@ -571,8 +565,10 @@ class Check:
     """A named check: run(get, n, rel) gives its rows, building complexes with
     get(n, rel); rel is None if it takes no relation. The report runs it at
     each n in report_sizes(nmax), relations innermost, announcing `stage`.
-    On the relations in `walks` it walks the faces of the complex it builds,
-    so run_named_check holds that complex to the face budget first."""
+    run_named_check holds the complex it builds on each relation in `walks`
+    to the face budget first: the relations whose faces it walks, and ws for
+    cone-points, whose star covers sweep every facet once per deletion
+    entry."""
 
     name: str
     relations: tuple[str, ...]  # the relations it runs on; --relation narrows them
@@ -626,7 +622,7 @@ CHECKS = (
           lambda get, n, rel: covering_checks(sc := get(n, rel)) + star_cover_checks(sc),
           "covering checks {rel}({n})", _built_sizes, walks=("ws",)),
     Check("cone-points", ("ws",), _PAPER_SIZES,
-          lambda get, n, rel: star_cover_checks(get(n, rel))),
+          lambda get, n, rel: star_cover_checks(get(n, rel)), walks=("ws",)),
     Check("boundary-findings", (), range(5, 6),
           lambda get, n, rel: boundary_findings(get=get),
           "boundary findings n={n}", lambda nmax: (5,) if nmax >= 5 else ()),

@@ -126,8 +126,7 @@ def test_criterion_06_boundary_homology(boundary_ss5, boundary_ws5):
 
 
 def test_criterion_07_edge_link_two_octahedra(ws5, boundary_ws5):
-    face = [ws5.vertex_index("15"), ws5.vertex_index("234")]
-    lk = boundary_ws5.link(face)
+    lk = boundary_ws5.link_mask(ws5.face_mask(("15", "234")))
     ok = lk.face_counts() == (12, 24, 16)
     pieces = lk.components()
     octa = cross_polytope_boundary(3)
@@ -137,8 +136,7 @@ def test_criterion_07_edge_link_two_octahedra(ws5, boundary_ws5):
 
 
 def test_criterion_08_triangle_link_two_squares(ss5, boundary_ss5):
-    face = [ss5.vertex_index(s) for s in ("2", "23", "234")]
-    lk = boundary_ss5.link(face)
+    lk = boundary_ss5.link_mask(ss5.face_mask(("2", "23", "234")))
     ok = lk.face_counts() == (8, 8)
     pieces = lk.components()
     ok = ok and len(pieces) == 2
@@ -151,7 +149,7 @@ def test_criterion_08_triangle_link_two_squares(ss5, boundary_ss5):
 def test_criterion_09_vertex_links_not_spherical(ws5, boundary_ws5):
     ok = True
     for label in ("15", "234"):
-        groups = reduced_homology(boundary_ws5.link([ws5.vertex_index(label)]))
+        groups = reduced_homology(boundary_ws5.link_mask(1 << ws5.vertex_index(label)))
         ok = ok and groups[1] == HomologyGroup(1) and groups[3] == HomologyGroup(1)
     record(9, "vertex links in the weak boundary have H~1 = Z and H~3 = Z", ok)
 

@@ -113,6 +113,25 @@ def test_bad_face_label(capsys):
         assert err.startswith("error:") and "'13' is repeated" in err
 
 
+def test_faces_of_labels_with_commas_take_semicolons(tmp_path, capsys):
+    # labels at n >= 10 hold commas, so ';' separates the vertices of a face
+    path = tmp_path / "n10.json"
+    path.write_text(json.dumps({"n": 10, "vertices": ["1,10", "2,3", "4,5", "6,7"],
+                                "facets": [[0, 1, 2], [1, 3], [2, 3]]}))
+    cx = Complex.from_dict(json.loads(path.read_text()))
+    for verb, face, mask in (("star", "1,10;2,3", 0b0011), ("link", "2,3", 0b0010),
+                             ("link", "1,10 ; 4,5", 0b0101)):
+        code, stdout, _ = run_cli(capsys, verb, str(path), "--face", face)
+        assert code == 0, (verb, face)
+        want = cx.star_mask(mask) if verb == "star" else cx.link_mask(mask)
+        assert Complex.from_dict(json.loads(stdout)).facets == want.facets
+    for face, message in (("1,10;1,10", "'1,10' is repeated"),
+                          ("1,10;2", "'2' is not a vertex label")):
+        code, stdout, err = run_cli(capsys, "star", str(path), "--face", face)
+        assert (code, stdout) == (2, ""), face
+        assert message in err
+
+
 def test_missing_input(capsys):
     code, _, err = run_cli(capsys, "fvector")
     assert code == 2
@@ -254,15 +273,16 @@ def test_named_checks_that_walk_faces_are_held_to_the_budget(capsys, monkeypatch
     assert run_cli(capsys, "verify", "purity", "--n", "7")[0] == 0
     # at --cap 6 the budget is 2^(10 + 6) subsets, under ss(6) and ws(6):
     # every check that walks their faces exits 3 before any face is walked
-    # (equivariance too, on ss, unless --relation ws narrows it), and the
-    # checks that read only facets or K(6) still pass
+    # (equivariance too, on ss, unless --relation ws narrows it; cone-points,
+    # which sweeps every facet once per deletion entry, is held too), and
+    # the checks that read only facets or K(6) still pass
     def no_walk(cx):
         raise AssertionError("a face walk before the budget was checked")
 
     with monkeypatch.context() as m:
         m.setattr(Complex, "face_levels", no_walk)
         for check in ("sphere", "contractibility", "retraction", "lemma-4-4",
-                      "chain-condition", "covering", "equivariance"):
+                      "chain-condition", "covering", "cone-points", "equivariance"):
             code, stdout, err = run_cli(capsys, "verify", check, "--n", "6", "--cap", "6")
             assert (code, stdout) == (3, ""), check
             assert "subsets, above 65536 = 2^(10 + 6)" in err

@@ -1,7 +1,7 @@
 """The simplicial complex engine against definition-level face oracles."""
 import json
 import re
-from itertools import combinations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -15,6 +15,7 @@ from sepcomplex.complexes import (
     Covering,
     _mask_to_tuple,
     _maximal,
+    _permute_mask,
     clique_complex,
     cross_polytope_boundary,
     isomorphic,
@@ -137,13 +138,13 @@ def test_downward_closure(ss4, ws4):
         for t in sc.complex.facet_tuples():
             for k in range(1, len(t) + 1):
                 for sub in combinations(t, k):
-                    assert sc.complex.has_face(sub)
+                    assert sc.complex.has_face_mask(sum(1 << v for v in sub))
 
 
 def test_has_face_negative(ss4):
     # vertices 2 and 14 are not separated, so no edge joins them
     i, j = ss4.vertex_index("2"), ss4.vertex_index("14")
-    assert not ss4.complex.has_face((i, j))
+    assert not ss4.complex.has_face_mask(1 << i | 1 << j)
 
 
 def test_empty_complex():
@@ -151,7 +152,7 @@ def test_empty_complex():
     assert cx.is_empty
     assert cx.dimension() == -1
     assert cx.face_counts() == ()
-    assert not cx.has_face(())
+    assert not cx.has_face_mask(0)
 
 
 # --- local subcomplexes ----------------------------------------------------------
@@ -159,22 +160,21 @@ def test_empty_complex():
 def test_star_deletion_link_against_oracles(ss4):
     cx = ss4.complex
     for f in list(cx.iter_face_masks()):
-        sigma = tuple(i for i in range(len(cx.labels)) if f >> i & 1)
-        assert face_set(cx.star(sigma)) == naive_star(cx, sigma)
-        assert face_set(cx.deletion(sigma)) == naive_deletion(cx, sigma)
-        assert face_set(cx.link(sigma)) == naive_link(cx, sigma)
+        sigma = _mask_to_tuple(f)
+        assert face_set(cx.star_mask(f)) == naive_star(cx, sigma)
+        assert face_set(cx.deletion_mask(f)) == naive_deletion(cx, sigma)
+        assert face_set(cx.link_mask(f)) == naive_link(cx, sigma)
 
 
 def test_link_equals_star_meet_deletion(ss4):
     cx = ss4.complex
     for f in cx.iter_face_masks():
-        sigma = tuple(i for i in range(len(cx.labels)) if f >> i & 1)
-        assert cx.link(sigma) == cx.star(sigma).intersection(cx.deletion(sigma))
+        assert cx.link_mask(f) == cx.star_mask(f).intersection(cx.deletion_mask(f))
 
 
 def test_octahedron_vertex_link_is_square():
     octa = cross_polytope_boundary(3)
-    lk = octa.link((0,))
+    lk = octa.link_mask(1 << 0)
     assert lk.face_counts() == (4, 4)
     assert isomorphic(lk, SQUARE) is not None
 
@@ -182,23 +182,23 @@ def test_octahedron_vertex_link_is_square():
 def test_star_of_nonface_rejected(ss4):
     i, j = ss4.vertex_index("2"), ss4.vertex_index("14")
     with pytest.raises(ValueError):
-        ss4.complex.star((i, j))
+        ss4.complex.star_mask(1 << i | 1 << j)
     with pytest.raises(ValueError):
-        ss4.complex.link((i, j))
+        ss4.complex.link_mask(1 << i | 1 << j)
 
 
 def test_star_vertices_are_cone_points(ss4):
     cx = ss4.complex
     v = ss4.vertex_index("13")
-    st = cx.star((v,))
+    st = cx.star_mask(1 << v)
     assert v in st.cone_points()
 
 
 def test_induced(ss4):
     cx = ss4.complex
-    assert cx.induced(range(len(cx.labels))) == cx
-    assert cx.induced(()).is_empty
-    square = cx.induced([ss4.vertex_index(s) for s in ("2", "3", "124", "134")])
+    assert cx.induced_mask((1 << len(cx.labels)) - 1) == cx
+    assert cx.induced_mask(0).is_empty
+    square = cx.induced_mask(ss4.face_mask(("2", "3", "124", "134")))
     assert isomorphic(square, SQUARE) is not None
 
 
@@ -265,7 +265,7 @@ def test_components():
 
 def test_nerve_two_overlapping_members():
     cx = Complex(list("abc"), [(0, 1), (1, 2)])
-    cov = Covering(cx, (cx.star((0,)), cx.star((2,))), ("near-a", "near-c"))
+    cov = Covering(cx, (cx.star_mask(1 << 0), cx.star_mask(1 << 2)), ("near-a", "near-c"))
     nv = nerve(cov)
     assert nv.facet_tuples() == [(0, 1)]
 
@@ -287,7 +287,7 @@ def test_covering_validation(ws4):
     cx = ws4.complex
     with pytest.raises(ValueError):
         Covering(cx, (cx,), ("a", "b"))
-    cov = Covering(cx, (cx.deletion((0,)),), ("dl",))
+    cov = Covering(cx, (cx.deletion_mask(1 << 0),), ("dl",))
     assert cov.members_are_subcomplexes()
     assert not cov.covers_parent()
 
@@ -314,9 +314,9 @@ def test_collapse_is_deterministic(ws4):
 
 
 @st.composite
-def random_clique_complexes(draw):
-    """Clique complex of a random graph on at most 9 vertices."""
-    n = draw(st.integers(0, 9))
+def random_clique_complexes(draw, most=9):
+    """Clique complex of a random graph on at most `most` vertices."""
+    n = draw(st.integers(0, most))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     adjacency = [0] * n
@@ -328,9 +328,9 @@ def random_clique_complexes(draw):
 
 
 @st.composite
-def random_facet_complexes(draw):
-    """Facet-only complex of random facets over at most 9 vertices."""
-    n = draw(st.integers(0, 9))
+def random_facet_complexes(draw, most=9):
+    """Facet-only complex of random facets over at most `most` vertices."""
+    n = draw(st.integers(0, most))
     if n == 0:
         return Complex.empty()
     facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
@@ -506,6 +506,34 @@ def test_isomorphic_mapping_preserves_facets():
     assert mapping is not None
     image = {tuple(sorted(mapping[v] for v in f)) for f in octa.facet_tuples()}
     assert image == set(relabeled.facet_tuples())
+
+
+def brute_isomorphic(x, y):
+    """Whether some bijection of the vertices maps x's facets onto y's."""
+    vx, vy = x.vertices(), y.vertices()
+    if len(vx) != len(vy):
+        return False
+    want = {frozenset(f) for f in y.facet_tuples()}
+    return any({frozenset(image[vx.index(v)] for v in f) for f in x.facet_tuples()} == want
+               for image in permutations(vy))
+
+
+def small_complexes():
+    return st.one_of(random_clique_complexes(6), random_facet_complexes(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_complexes(), st.data())
+def test_isomorphic_matches_brute_force(x, data):
+    if data.draw(st.booleans(), label="relabel x"):
+        perm = data.draw(st.permutations(range(len(x.labels))), label="perm")
+        y = Complex(x.labels, [[perm[v] for v in f] for f in x.facet_tuples()])
+    else:
+        y = data.draw(small_complexes(), label="y")
+    mapping = isomorphic(x, y)
+    assert (mapping is not None) == brute_isomorphic(x, y)
+    if mapping is not None:
+        assert all(_permute_mask(f, mapping) in set(y.facets) for f in x.facets)
 
 
 def test_isomorphism_cap():

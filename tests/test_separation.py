@@ -92,7 +92,7 @@ def test_edge_sets_nest_up_to_n6():
 
 
 def test_vertex_index_lookup(ss4):
-    assert ss4.label(ss4.vertex_index("13")) == "13"
+    assert ss4.complex.labels[ss4.vertex_index("13")] == "13"
     assert ss4.vertex_index(0b0101) == ss4.vertex_index("13")
     with pytest.raises(ValueError):
         ss4.vertex_index("1")  # frozen
@@ -128,11 +128,11 @@ def test_antipodal_matches_induced_subcomplex(ss4, ss5, ss6):
     for sc in (ss4, ss5, ss6):
         sub = antipodal_subcomplex(sc.n)
         assert (sub.n, sub.relation) == (sc.n, "ss")
-        induced = sc.complex.induced(sc.antipodal_vertex_indices())
+        induced = sc.complex.induced_mask(sum(1 << v for v in sc.antipodal_vertex_indices()))
         induced_labels = {
-            frozenset(sc.label(v) for v in f) for f in induced.facet_tuples()}
+            frozenset(sc.complex.labels[v] for v in f) for f in induced.facet_tuples()}
         sub_labels = {
-            frozenset(sub.label(v) for v in f) for f in sub.complex.facet_tuples()}
+            frozenset(sub.complex.labels[v] for v in f) for f in sub.complex.facet_tuples()}
         assert induced_labels == sub_labels
 
 
@@ -142,7 +142,7 @@ def test_antipodal_is_cross_polytope_boundary():
         assert isomorphic(sub.complex, cross_polytope_boundary(n - 2)) is not None
         assert len(sub.singleton_pair_indices()) == n - 2
         for i, j in sub.singleton_pair_indices():
-            assert not sub.complex.has_face((i, j))
+            assert not sub.complex.has_face_mask(1 << i | 1 << j)
 
 
 def test_generators_preserve_the_antipodal_facets():
@@ -165,7 +165,7 @@ def test_antipodal_needs_n4():
 def image_labels(sc, face_labels):
     """The labels of the table's image of the face on `face_labels`."""
     image = sc.retraction_images[sum(1 << sc.vertex_index(s) for s in face_labels)]
-    return [sc.label(i) for i in _mask_to_tuple(image)]
+    return [sc.complex.labels[i] for i in _mask_to_tuple(image)]
 
 
 def test_retraction_worked_example(ss4):
@@ -224,7 +224,7 @@ def relabelled(sc, perm):
     def moved(m):
         return sum(1 << perm[v] for v in _mask_to_tuple(m))
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    cx = clique_complex([sc.label(i) for i in inverse],
+    cx = clique_complex([sc.complex.labels[i] for i in inverse],
                         [moved(sc.complex.graph[i]) for i in inverse])
     return SeparationComplex(sc.n, "ss", cx, tuple(sc.masks[i] for i in inverse)), moved
 

@@ -143,6 +143,33 @@ def test_every_definition_is_referenced():
     assert unreferenced_definitions(trees, package) == []
 
 
+# Defined in the package, referenced only from the tests or the benchmark
+TEST_ONLY = {
+    # test conveniences
+    "complexes.py:Complex.facet_tuples",
+    "complexes.py:Complex.euler_characteristic",
+    # oracles the tests compare the package's fast paths against
+    "complexes.py:Covering.members_are_subcomplexes",
+    "complexes.py:Covering.covers_parent",
+    "homology.py:betti_rational",
+    "subsets.py:is_frozen_enumerated",
+    # oracles that perfbench's tracer also patches or calls
+    "complexes.py:nerve",
+    "homology.py:smith_normal_form",
+    "separation.py:deletion_covering",
+}
+
+
+def test_the_package_alone_leaves_only_the_test_only_names_unreferenced():
+    # equality: a new test-only helper fails, and so does a listed name that
+    # gains a caller in the package
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
+             for p in SOURCES}
+    prefix = "src/sepcomplex/"
+    assert {name.removeprefix(prefix) for name in unreferenced_definitions(trees, list(trees))
+            } == TEST_ONLY
+
+
 def test_the_definition_scan_sees_an_unreferenced_name():
     trees = {
         "pkg/__init__.py": ast.parse("from .mod import C, dead, used\n"),

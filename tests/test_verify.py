@@ -385,10 +385,10 @@ def test_member_rows_fail_on_a_doctored_table(ws4, monkeypatch):
 def test_central_pair_spans_the_central_star(ws4, ws5):
     for sc, labels in ((ws4, ("14", "23")), (ws5, ("15", "234"))):
         i, j = _central_pair(sc)
-        assert (sc.label(i), sc.label(j)) == labels
+        assert (sc.complex.labels[i], sc.complex.labels[j]) == labels
         star = sc.complex.star_mask(1 << i | 1 << j)
         closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
-        assert star.has_face((i, j))
+        assert star.has_face_mask(1 << i | 1 << j)
         assert closed[i] & closed[j] == star.vertex_mask
         assert {i, j} <= set(star.cone_points())
 
