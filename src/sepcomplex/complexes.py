@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, islice
+from operator import or_
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .subsets import check_ground_size, check_relation, is_frozen, parse_subset
@@ -95,18 +97,18 @@ def _least_dominated(adj: Sequence[int], alive: int) -> tuple[int, int] | None:
 
 
 class Complex:
-    """Immutable simplicial complex: vertex labels plus maximal faces, and
-    `graph`, the adjacency masks when this is a clique complex of a known
-    graph, else None."""
+    """Immutable simplicial complex: vertex labels plus maximal faces,
+    `vertex_mask`, the union of the faces, and `graph`, the adjacency masks
+    when this is a clique complex of a known graph, else None."""
 
-    __slots__ = ("labels", "facets", "graph", "_vmask")
+    __slots__ = ("labels", "facets", "graph", "vertex_mask")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         masks = [_mask_of(f, len(labels)) for f in facets]
         self.labels = tuple(labels)
         self.facets = _maximal(masks)
         self.graph = None
-        self._vmask = None
+        self.vertex_mask = reduce(or_, self.facets, 0)
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], facet_masks: tuple[int, ...],
@@ -116,24 +118,10 @@ class Complex:
         obj.labels = labels
         obj.facets = facet_masks
         obj.graph = graph
-        obj._vmask = None
+        obj.vertex_mask = reduce(or_, facet_masks, 0)
         return obj
 
-    @classmethod
-    def empty(cls, labels: Sequence[str] = ()) -> "Complex":
-        return cls(labels, [])
-
     # -- basics ------------------------------------------------------------
-
-    @property
-    def vertex_mask(self) -> int:
-        vm = self._vmask
-        if vm is None:
-            vm = 0
-            for f in self.facets:
-                vm |= f
-            self._vmask = vm
-        return vm
 
     def vertices(self) -> tuple[int, ...]:
         """Indices of vertices present in the complex, ascending."""

@@ -59,15 +59,10 @@ class SeparationComplex:
     complex: Complex
     masks: tuple[int, ...]  # subset mask per vertex, canonical order
     _index: dict = field(init=False, repr=False, compare=False)
-    _pairs: tuple = field(default=(), init=False, repr=False, compare=False)
     _images: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.masks)})
-        full = subsets.ground_mask(self.n)
-        object.__setattr__(self, "_pairs", tuple(
-            (self._index[1 << (k - 1)], self._index[full ^ (1 << (k - 1))])
-            for k in range(2, self.n)))
 
     def vertex_index(self, subset: int | str) -> int:
         mask = subsets.parse_subset(subset, self.n) if isinstance(subset, str) else subset
@@ -89,10 +84,14 @@ class SeparationComplex:
 
     def singleton_pair_indices(self) -> tuple[tuple[int, int], ...]:
         """Vertex index pairs (k, complement of k) for k = 2..n-1."""
-        return self._pairs
+        full = subsets.ground_mask(self.n)
+        return tuple((self._index[1 << (k - 1)], self._index[full ^ (1 << (k - 1))])
+                     for k in range(2, self.n))
 
     def antipodal_vertex_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(i for pair in self.singleton_pair_indices() for i in pair))
+        """The pair vertices in pair order: {k}, then its complement, for
+        k = 2..n-1. Index i of the deletion covering deletes the i-th."""
+        return tuple(v for pair in self.singleton_pair_indices() for v in pair)
 
     @property
     def retraction_images(self) -> dict[int, int]:
@@ -111,7 +110,7 @@ class SeparationComplex:
         vertices of N[v], from c of the empty face, all of them; each
         distinct c calls retraction_image_mask once, on its first face.
 
-        Kept in a field like _pairs: functools.cached_property would write
+        Kept in a dataclass field: functools.cached_property would write
         the instance __dict__, which makes every later attribute read on the
         complex slower on CPython 3.11."""
         if self._images is None:
@@ -148,8 +147,6 @@ def build(n: int, relation: str, cap: int = DEFAULT_ENUMERATION_CAP) -> Separati
     subsets.check_ground_size(n)
     subsets.check_relation(relation)
     check_enumeration_cap(n, cap)
-    if n <= 2:
-        return SeparationComplex(n, relation, Complex.empty(), ())
     graph = separation_graph(n, relation)
     labels = [subset_str(v, n) for v in graph.vertices]
     cx = clique_complex(labels, graph.adjacency)
@@ -203,14 +200,13 @@ def retraction_image_mask(sc: SeparationComplex, face_mask: int) -> int:
 
 def deletion_covering(sc: SeparationComplex) -> Covering:
     """Covering of the weak-separation complex by deletions of the singletons
-    2..n-1 and their complements. Member 2m deletes vertex
-    sc.singleton_pair_indices()[m][0], the singleton m + 2, and member
-    2m + 1 deletes [m][1], its complement."""
+    2..n-1 and their complements. Member i deletes vertex
+    sc.antipodal_vertex_indices()[i]."""
     if sc.relation != "ws":
         raise ValueError("the deletion covering is defined on the weak-separation complex")
     if sc.n < 4:
         raise ValueError("the deletion covering needs n >= 4")
-    deleted = [v for pair in sc.singleton_pair_indices() for v in pair]
+    deleted = sc.antipodal_vertex_indices()
     members = [sc.complex.deletion_mask(1 << v) for v in deleted]
     labels = [f"dl({sc.complex.labels[v]})" for v in deleted]
     return Covering(sc.complex, tuple(members), tuple(labels))

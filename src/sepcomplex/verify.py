@@ -392,11 +392,10 @@ def _intersection_masks(parent_mask: int, member_masks: Sequence[int]) -> dict[i
 
 
 def _deletion_masks(sc: SeparationComplex) -> dict[int, int]:
-    """The intersection table of deletion_covering(sc): index 2m deletes the
-    singleton of sc.singleton_pair_indices()[m], index 2m + 1 its complement."""
+    """The intersection table of deletion_covering(sc): index i deletes
+    vertex sc.antipodal_vertex_indices()[i]."""
     vm = sc.complex.vertex_mask
-    return _intersection_masks(
-        vm, [vm & ~(1 << v) for pair in sc.singleton_pair_indices() for v in pair])
+    return _intersection_masks(vm, [vm & ~(1 << v) for v in sc.antipodal_vertex_indices()])
 
 
 def _central_pair(sc: SeparationComplex) -> tuple[int, int]:
@@ -472,7 +471,7 @@ def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
     scope = f"ws({sc.n})"
     closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
     centre = _central_pair(sc)
-    pair_vertices = [v for pair in sc.singleton_pair_indices() for v in pair]
+    pair_vertices = sc.antipodal_vertex_indices()
     clean, bad = 0, []
     for smask, kept in _deletion_masks(sc).items():
         if not all(smask >> 2 * m & 3 for m in range(sc.n - 2)):

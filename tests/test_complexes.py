@@ -148,7 +148,7 @@ def test_has_face_negative(ss4):
 
 
 def test_empty_complex():
-    cx = Complex.empty(list("ab"))
+    cx = Complex(list("ab"), [])
     assert cx.is_empty
     assert cx.dimension() == -1
     assert cx.face_counts() == ()
@@ -332,9 +332,43 @@ def random_facet_complexes(draw, most=9):
     """Facet-only complex of random facets over at most `most` vertices."""
     n = draw(st.integers(0, most))
     if n == 0:
-        return Complex.empty()
+        return Complex([], [])
     facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
     return Complex([str(i) for i in range(n)], draw(st.lists(facet, max_size=10)))
+
+
+def draw_face(data, cx):
+    """A face of the nonempty complex `cx`: a subset of a drawn facet."""
+    facet = _mask_to_tuple(data.draw(st.sampled_from(cx.facets)))
+    return sum(1 << v for v in data.draw(st.lists(st.sampled_from(facet), unique=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_clique_complexes(), random_facet_complexes()), st.data())
+def test_vertex_mask_on_every_construction_path(cx, data):
+    # each constructor sets vertex_mask; one that forgot would fail here
+    made = [cx, Complex.from_dict(cx.to_dict()), *cx.components(),
+            *(cross_polytope_boundary(m) for m in (1, 2, 3))]
+    vm = data.draw(st.integers(0, (1 << len(cx.labels)) - 1))
+    made += [cx.induced_mask(vm), cx.deletion_mask(vm)]
+    if cx.is_pure():
+        made.append(cx.boundary())
+    adjacency = [0] * len(cx.labels)
+    for f in cx.facets:
+        for v in _mask_to_tuple(f):
+            adjacency[v] |= f & ~(1 << v)
+    made.append(clique_complex(cx.labels, adjacency))
+    if cx.facets:
+        a, b = draw_face(data, cx), draw_face(data, cx)
+        star = cx.star_mask(a)
+        made += [star, cx.link_mask(a), star.intersection(cx.star_mask(b)),
+                 nerve(Covering(cx, (star, cx.induced_mask(vm)), ("s", "i")))]
+    for c in made:
+        union = 0
+        for f in c.facets:
+            union |= f
+        assert c.vertex_mask == union
+        assert c.vertices() == tuple(v for v in range(len(c.labels)) if union >> v & 1)
 
 
 def dominated(faces, sigma):

@@ -463,8 +463,8 @@ def test_two_circles():
 
 
 def test_empty_complex_has_no_groups():
-    assert reduced_homology(Complex.empty()) == []
-    assert betti_rational(Complex.empty()) == []
+    assert reduced_homology(Complex([], [])) == []
+    assert betti_rational(Complex([], [])) == []
 
 
 def test_betti_rational_matches_integer_ranks(ss4, ws4, ss5):

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepcomplex import verify
+from sepcomplex.cli import main
 from sepcomplex.complexes import (
+    Complex,
     _mask_to_tuple,
     clique_complex,
     cross_polytope_boundary,
     isomorphic,
 )
+from sepcomplex.homology import reduced_homology
 from sepcomplex.separation import (
     CapExceeded,
     SeparationComplex,
@@ -31,11 +35,32 @@ from sepcomplex.subsets import (
 
 # --- build -------------------------------------------------------------------
 
-def test_build_empty_for_tiny_ground_sets():
+def test_build_empty_for_tiny_ground_sets(capsys):
+    # every subset of [1] or [2] is frozen, so the general path builds nothing
     for n in (1, 2):
         for relation in ("ss", "ws"):
             sc = build(n, relation)
             assert sc.complex.is_empty
+            assert sc.complex == Complex([], [])
+            assert sc.complex.face_counts() == ()
+            assert reduced_homology(sc.complex) == []
+            assert sc.singleton_pair_indices() == ()
+    assert main(["build", "--n", "2", "--relation", "ss"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "facets": [],\n  "n": 2,\n  "relation": "ss",\n  "vertices": []\n}\n')
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("relation", ["ss", "ws"])
+def test_pair_vertices_in_pair_order(n, relation):
+    # index i of the deletion table deletes antipodal_vertex_indices()[i]
+    sc = build(n, relation)
+    pair_vertices = sc.antipodal_vertex_indices()
+    assert pair_vertices == tuple(v for pair in sc.singleton_pair_indices() for v in pair)
+    masks = verify._deletion_masks(sc)
+    vm = sc.complex.vertex_mask
+    for i, v in enumerate(pair_vertices):
+        assert masks[1 << i] == vm & ~(1 << v)
 
 
 def test_build_n3():
@@ -260,7 +285,7 @@ def test_covering_index_action(ws5):
     for k in (2, 3, 4):
         deleted.append(1 << (k - 1))
         deleted.append(full ^ (1 << (k - 1)))
-    vertices = [v for pair in ws5.singleton_pair_indices() for v in pair]
+    vertices = list(ws5.antipodal_vertex_indices())
     assert [ws5.masks[v] for v in vertices] == deleted
     for g in GENERATORS:
         perm = ws5.vertex_permutation(g)
