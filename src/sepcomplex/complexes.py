@@ -11,7 +11,6 @@ walk with a graph, facet subsets without. The collapse enumerates no faces.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, islice
@@ -29,6 +28,8 @@ def _mask_of(face: Iterable[int], n_labels: int) -> int:
     for v in face:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_labels:
             raise ValueError(f"vertex index {v!r} is not an integer in range({n_labels})")
+        if m >> v & 1:
+            raise ValueError(f"vertex index {v} is repeated in a facet")
         m |= 1 << v
     return m
 
@@ -99,7 +100,9 @@ def _least_dominated(adj: Sequence[int], alive: int) -> tuple[int, int] | None:
 class Complex:
     """Immutable simplicial complex: vertex labels plus maximal faces,
     `vertex_mask`, the union of the faces, and `graph`, the adjacency masks
-    when this is a clique complex of a known graph, else None."""
+    when this is a clique complex of a known graph, else None. The
+    constructor rejects a facet index that is no integer in range or that
+    repeats within its facet."""
 
     __slots__ = ("labels", "facets", "graph", "vertex_mask")
 
@@ -374,11 +377,7 @@ class Complex:
                     raise ValueError(
                         f"vertex labels {named[s]!r} and {label!r} name the same subset")
                 named[s] = label
-        cx = cls(labels, facets)  # first rejects an index that is no integer in range
-        repeated = [v for f in facets for v, count in Counter(f).items() if count > 1]
-        if repeated:
-            raise ValueError(f"vertex index {repeated[0]} is repeated in a facet")
-        return cx
+        return cls(labels, facets)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,16 @@ has determinant +-1. With b_d b_{d+1} = 0, an omitted column is then an
 integer combination of the kept ones; the column lattice of b_d, and with it
 its rank and invariant factors, is unchanged. Pivots of the dense phase need
 not be units and never clear a column.
+
+`induced_homologies` gives the homology of many full subcomplexes of one
+complex, as the deletion covering asks for, from one build. Each vertex mask
+is reduced through an induced view of the parent's operators: its faces are
+the parent's faces inside the mask, its rows and columns keep the parent's
+numbering, and each parent column is built once for all the views. The view
+hands out copies of those columns, since the peel clears its columns in
+place; `reduced_homology` builds each column for one elimination only, so it
+reduces them where they are built and copies nothing. Both run the one
+top-down clearing loop, `_reduce`.
 """
 from __future__ import annotations
 
@@ -352,7 +362,56 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
     module docstring), which leaves every rank and invariant factor as it is.
     Each b_d is built just before it is reduced, without its cleared columns.
     """
+    return _reduce(boundary_matrices(x))
+
+
+def induced_homologies(x: Complex, vmasks: Iterable[int]) -> list[list[HomologyGroup]]:
+    """`reduced_homology(x.induced_mask(m))` for each vertex mask m, in order,
+    from one walk of x's faces: each full subcomplex is reduced through an
+    `_InducedOperators` view of x's operators, which build each column once."""
     ops = boundary_matrices(x)
+    built: list[list[dict[int, int]] | None] = [None] * len(ops)
+    return [_reduce(_InducedOperators(ops, built, m)) for m in vmasks]
+
+
+class _InducedOperators:
+    """The boundary operators of the full subcomplex of a parent on the
+    vertex mask `vm`, read off the parent's operators `ops`. faces[d] lists
+    the parent indices of the d-faces inside vm, up to the last nonempty
+    dimension; rows and columns keep the parent's numbering, so the rows of
+    the other faces stay empty. The parent's columns of b_d are built into
+    `built[d]` when a view first asks for them, and shared by every view over
+    the same `built`; each view gets copies, as the elimination clears them.
+    """
+
+    __slots__ = ("faces", "_ops", "_built")
+
+    def __init__(self, ops: BoundaryOperators, built: list[list[dict[int, int]] | None],
+                 vm: int):
+        faces = [[j for j, f in enumerate(level) if not f & ~vm] for level in ops.faces]
+        while faces and not faces[-1]:
+            faces.pop()
+        self.faces = faces
+        self._ops = ops
+        self._built = built
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+    def nrows(self, d: int) -> int:
+        return self._ops.nrows(d)
+
+    def columns(self, d: int, skip: frozenset[int] = frozenset()) -> list[dict[int, int]]:
+        cols = self._built[d]
+        if cols is None:
+            cols = self._built[d] = self._ops.columns(d)
+        return [dict(cols[j]) for j in self.faces[d] if j not in skip]
+
+
+def _reduce(ops: BoundaryOperators | _InducedOperators) -> list[HomologyGroup]:
+    """The reduced homology of the chain complex `ops`: its operators reduced
+    from the top dimension down, each b_d without the columns that the unit
+    pivots of b_{d+1} clear."""
     top = len(ops)
     ranks = [0] * (top + 1)
     torsions: list[tuple[int, ...]] = [()] * (top + 1)

@@ -165,6 +165,7 @@ def test_missing_input(capsys):
     ({"vertices": ["a", "b", "c"], "facets": [[True, False], [2]]}, "True is not an integer"),
     ({"relation": "ss", "vertices": ["zz"], "facets": [[0]]}, "needs its ground size 'n'"),
     ({"vertices": ["a", "b", "c"], "facets": [[0, 0, 1], [2]]}, "vertex index 0 is repeated"),
+    ({"vertices": ["a", "b"], "facets": [[0, 0]]}, "vertex index 0 is repeated in a facet"),
     pytest.param("[" * 100000 + "]" * 100000, "nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):

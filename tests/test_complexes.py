@@ -96,6 +96,13 @@ def test_from_faces_keeps_maximal_only():
     assert cx.facet_tuples() == [(0, 1, 2)]
 
 
+def test_constructor_rejects_a_repeated_index():
+    with pytest.raises(ValueError, match="vertex index 0 is repeated in a facet"):
+        Complex(list("ab"), [[0, 0]])
+    with pytest.raises(ValueError, match="vertex index 1 is repeated in a facet"):
+        Complex(list("abc"), [(0, 2), (1, 2, 1)])
+
+
 def brute_maximal(masks):
     """Every distinct nonzero mask that no other mask contains, ascending."""
     masks = set(masks)
@@ -333,7 +340,7 @@ def random_facet_complexes(draw, most=9):
     n = draw(st.integers(0, most))
     if n == 0:
         return Complex([], [])
-    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     return Complex([str(i) for i in range(n)], draw(st.lists(facet, max_size=10)))
 
 

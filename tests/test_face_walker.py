@@ -29,7 +29,7 @@ def graphs(draw):
 def facet_lists(draw):
     """(n, facets) with facets drawn as index lists over at most 8 vertices."""
     n = draw(st.integers(1, 8))
-    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True)
     return n, draw(st.lists(facet, max_size=8))
 
 

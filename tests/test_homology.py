@@ -1,6 +1,7 @@
 """Integer homology: Smith form against a textbook oracle, known spaces,
 the rational-rank cross-check, the free-face peel, cleared against uncleared
-reduction, and the columns clearing keeps out of the elimination."""
+reduction, the columns clearing keeps out of the elimination, and full
+subcomplexes reduced off their parent's operators."""
 import random
 import tracemalloc
 from math import gcd
@@ -25,9 +26,11 @@ from sepcomplex.homology import (
     boundary_matrices,
     format_homology,
     homology_summary,
+    induced_homologies,
     reduced_homology,
     smith_normal_form,
 )
+from sepcomplex.verify import _deletion_masks
 
 # the 6-vertex triangulation of the real projective plane
 PROJECTIVE_PLANE = Complex(
@@ -609,3 +612,38 @@ def test_only_uncleared_columns_reach_the_elimination_on_ss5(ss5):
 @given(random_clique_complexes())
 def test_only_uncleared_columns_reach_the_elimination(cx):
     assert_only_uncleared_columns_reach_the_elimination(cx)
+
+
+# --- full subcomplexes off the parent's operators ------------------------------------
+
+def assert_induced_matches_one_by_one(cx, vmasks):
+    groups = induced_homologies(cx, vmasks)
+    assert groups == [reduced_homology(cx.induced_mask(m)) for m in vmasks]
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_clique_complexes(), random_facet_complexes()), st.data())
+def test_induced_homologies_match_reduced_homology_of_each_induced_complex(cx, data):
+    # bits up to 12 reach past the at most 9 vertices of a drawn complex
+    drawn = data.draw(st.lists(st.integers(0, (1 << 12) - 1), max_size=8))
+    vmasks = [0, cx.vertex_mask, *drawn, cx.vertex_mask | 1 << 11]
+    assert_induced_matches_one_by_one(cx, vmasks)
+
+
+def test_induced_homologies_on_the_deletion_tables(ws4, ws5):
+    for sc in (ws4, ws5):
+        vmasks = list(_deletion_masks(sc).values())
+        groups = assert_induced_matches_one_by_one(sc.complex, vmasks)
+        assert len(groups) == 1 << 2 * (sc.n - 2)
+        assert all(g.is_trivial for gs in groups for g in gs)
+
+
+def test_induced_homologies_keep_torsion_and_trim_dimensions():
+    # PROJECTIVE_PLANE beside a hollow triangle on three new vertices
+    cx = Complex([str(k) for k in range(9)],
+                 PROJECTIVE_PLANE.facet_tuples() + [(6, 7), (7, 8), (6, 8)])
+    plane, circle = (1 << 6) - 1, 0b111 << 6
+    groups = assert_induced_matches_one_by_one(cx, [plane, circle, plane | circle, 1 << 6, 0])
+    assert [[str(g) for g in gs] for gs in groups] == [
+        ["0", "Z/2", "0"], ["0", "Z"], ["Z", "Z + Z/2", "0"], ["0"], []]

@@ -383,6 +383,33 @@ def test_member_rows_fail_on_a_doctored_table(ws4, monkeypatch):
     assert (subcomplexes.status, unions.status) == ("FAIL", "PASS")
 
 
+def test_homology_row_fails_on_a_doctored_table(ws4, monkeypatch):
+    graph = ws4.complex.graph
+    u = next(v for v, adj in enumerate(graph) if adj | 1 << v != ws4.complex.vertex_mask)
+    w = (ws4.complex.vertex_mask & ~(graph[u] | 1 << u)).bit_length() - 1
+    # two vertices with no edge between them: two points, so H~0 = Z
+    doctored = dict(_deletion_masks(ws4))
+    smask = 0b1011
+    doctored[smask] = 1 << u | 1 << w
+    monkeypatch.setattr(verify, "_deletion_masks", lambda sc: doctored)
+    row = next(r for r in covering_checks(ws4) if "homology-trivial" in r.check)
+    assert (row.check, row.status) == ("covering-intersections-homology-trivial ws(4)", "FAIL")
+    assert (row.expected, row.computed, row.witness) == ("16/16", "15/16", format(smask, "b"))
+
+
+def test_covering_checks_walk_the_faces_once(ws5, monkeypatch):
+    calls = []
+    real = Complex.face_levels
+
+    def counted(cx):
+        calls.append(cx)
+        return real(cx)
+
+    monkeypatch.setattr(Complex, "face_levels", counted)
+    assert all_pass(covering_checks(ws5))
+    assert calls == [ws5.complex]
+
+
 def test_central_pair_spans_the_central_star(ws4, ws5):
     for sc, labels in ((ws4, ("14", "23")), (ws5, ("15", "234"))):
         i, j = _central_pair(sc)
