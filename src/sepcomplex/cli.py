@@ -1,5 +1,6 @@
 """Command-line surface: build and export complexes, run homology, take local
-subcomplexes and boundaries, and run the named verification checks.
+subcomplexes and boundaries, and run the named verification checks. Every
+verb writes its output to --out, or to stdout when --out is not given.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or input error,
 3 enumeration cap exceeded.
@@ -34,10 +35,6 @@ EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-
-def _complex_json(cx: Complex, n: int | None, relation: str | None) -> str:
-    return json.dumps(cx.to_dict(n, relation), indent=2, sort_keys=True) + "\n"
 
 
 def _write(text: str, path: str | None) -> None:
@@ -95,17 +92,10 @@ def _parse_face(cx: Complex, text: str) -> int:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    sc = build(args.n, args.relation, args.cap)
-    _write(_complex_json(sc.complex, sc.n, sc.relation), args.out)
-    return EXIT_OK
-
-
 def _cmd_face_counts(args: argparse.Namespace) -> int:
     cx, _, _ = _obtain_complex(args)
     check_face_budget(cx, args.cap)
-    counts = cx.face_counts()
-    sys.stdout.write(" ".join(map(str, counts)) + "\n")
+    _write(" ".join(map(str, cx.face_counts())) + "\n", args.out)
     return EXIT_OK
 
 
@@ -114,28 +104,27 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     check_face_budget(cx, args.cap)
     groups = reduced_homology(cx)
     if args.format == "json":
-        sys.stdout.write(json.dumps(homology_summary(groups), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(homology_summary(groups), indent=2, sort_keys=True)
     else:
-        sys.stdout.write(format_homology(groups) + "\n")
+        text = format_homology(groups)
+    _write(text + "\n", args.out)
     return EXIT_OK
 
 
-def _cmd_local(args: argparse.Namespace) -> int:
-    cx, n, relation = _obtain_complex(args)
-    face = _parse_face(cx, args.face)
-    if args.verb == "link":
-        result = cx.link_mask(face)
-    elif args.verb == "star":
-        result = cx.star_mask(face)
-    else:
-        result = cx.deletion_mask(face)
-    _write(_complex_json(result, n, relation), args.out)
-    return EXIT_OK
+# the complex each export verb writes, from the one it was given
+_EXPORTS = {
+    "build": lambda cx, args: cx,
+    "link": lambda cx, args: cx.link_mask(_parse_face(cx, args.face)),
+    "star": lambda cx, args: cx.star_mask(_parse_face(cx, args.face)),
+    "deletion": lambda cx, args: cx.deletion_mask(_parse_face(cx, args.face)),
+    "boundary": lambda cx, args: cx.boundary(),
+}
 
 
-def _cmd_boundary(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> int:
     cx, n, relation = _obtain_complex(args)
-    _write(_complex_json(cx.boundary(), n, relation), args.out)
+    result = _EXPORTS[args.verb](cx, args)
+    _write(json.dumps(result.to_dict(n, relation), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -180,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a separation complex and write JSON")
     add_common(p, needs_input=False)
-    p.set_defaults(func=_cmd_build)
+    p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("fvector", help="face counts per dimension")
     add_common(p)
@@ -198,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset strings, e.g. 15,234; "
                             "for n >= 10, whose labels contain commas, "
                             "separate them with ';'")
-        p.set_defaults(func=_cmd_local, verb=verb)
+        p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("boundary", help="codimension-1 boundary subcomplex")
     add_common(p)
-    p.set_defaults(func=_cmd_boundary)
+    p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("verify", help="run one named verification check")
     p.add_argument("check", choices=CHECK_NAMES)
@@ -211,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("reproduce-paper",
@@ -219,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5,
                    help="largest ground size, 4 to 6 (default 5)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--progress", action="store_true",
                    help="stream progress lines to stderr")
     p.set_defaults(func=_cmd_reproduce)
@@ -235,7 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -100,6 +100,73 @@ def test_boundary_verb_and_gate(capsys):
     assert Complex.from_dict(json.loads(stdout)).dimension() == 8
 
 
+def test_fvector_and_homology_write_to_out(tmp_path, capsys):
+    out = tmp_path / "F"
+    assert run_cli(capsys, "fvector", "--n", "4", "--relation", "ss",
+                   "--out", str(out)) == (0, "", "")
+    assert out.read_text() == "8 16 8\n"
+    assert run_cli(capsys, "homology", "--n", "4", "--relation", "ws",
+                   "--out", str(out)) == (0, "", "")
+    assert out.read_text() == "H~0 = 0\nH~1 = 0\nH~2 = 0\n"
+    assert run_cli(capsys, "homology", "--n", "4", "--relation", "ws",
+                   "--format", "json", "--out", str(out)) == (0, "", "")
+    assert json.loads(out.read_text()) == [
+        {"dim": d, "rank": 0, "torsion": []} for d in range(3)]
+
+
+# the smallest valid call of each verb
+MINIMAL_CALLS = {
+    "build": ("--n", "4", "--relation", "ss"),
+    "fvector": ("--n", "4", "--relation", "ss"),
+    "homology": ("--n", "4", "--relation", "ss"),
+    "link": ("--n", "4", "--relation", "ss", "--face", "13"),
+    "star": ("--n", "4", "--relation", "ss", "--face", "13"),
+    "deletion": ("--n", "4", "--relation", "ss", "--face", "13"),
+    "boundary": ("--n", "4", "--relation", "ss"),
+    "verify": ("figures", "--n", "3"),
+    "reproduce-paper": ("--n", "4"),
+}
+
+
+def test_every_verb_writes_to_out_and_not_to_stdout(tmp_path, capsys):
+    verbs = build_parser()._subparsers._group_actions[0].choices
+    assert set(verbs) == set(MINIMAL_CALLS)
+    for verb, parser in verbs.items():
+        assert "--out" in {o for a in parser._actions for o in a.option_strings}, verb
+        out = tmp_path / f"{verb}.out"
+        assert run_cli(capsys, verb, *MINIMAL_CALLS[verb], "--out", str(out)) == (0, "", ""), verb
+        assert out.read_text(), verb
+
+
+# each export verb, its extra arguments, and the library call it stands for
+EXPORT_VERBS = [
+    ("build", (), lambda sc: sc.complex),
+    ("star", ("--face", "15,234"), lambda sc: sc.complex.star_mask(sc.face_mask(["15", "234"]))),
+    ("deletion", ("--face", "2"), lambda sc: sc.complex.deletion_mask(sc.face_mask(["2"]))),
+    ("boundary", (), lambda sc: sc.complex.boundary()),
+]
+
+
+@pytest.mark.parametrize("verb, extra, library", EXPORT_VERBS, ids=[v[0] for v in EXPORT_VERBS])
+def test_export_verbs_write_the_library_complex(tmp_path, capsys, ws5, verb, extra, library):
+    want = library(ws5).to_dict(5, "ws")
+    code, stdout, _ = run_cli(capsys, verb, "--n", "5", "--relation", "ws", *extra)
+    assert code == 0
+    assert json.loads(stdout) == want
+    if verb != "build":  # build takes no input file
+        path = tmp_path / "ws5.json"
+        path.write_text(json.dumps(ws5.complex.to_dict(5, "ws")))
+        code, stdout, _ = run_cli(capsys, verb, str(path), *extra)
+        assert code == 0
+        assert json.loads(stdout) == want
+
+
+def test_build_without_n_and_relation_exits_2(capsys):
+    code, stdout, err = run_cli(capsys, "build")
+    assert (code, stdout) == (2, "")
+    assert err == "error: provide an input file or both --n and --relation\n"
+
+
 def test_bad_face_label(capsys):
     code, _, err = run_cli(capsys, "link", "--n", "4", "--relation", "ss",
                            "--face", "99")
