@@ -4,10 +4,13 @@ Boundary operators are sparse integer matrices, brought to Smith normal form
 by a three-phase elimination. The peel pivots on each +-1 entry alone in its
 row (a free face, the elementary collapse of Kaczynski-Mrozek-Slusarek),
 which deletes its column and causes no fill, until no such row is left. Only
-the columns it leaves, and the rows they touch, go on: a Markowitz phase
-pivots on their +-1 entries, cheapest fill estimate first from a heap, so the
-reduction stays fraction-free, and a dense textbook phase takes whatever
-small residue is left. All arithmetic is arbitrary-precision.
+the columns it leaves, and the rows they touch, go on, as row and column
+dicts kept in step: a Markowitz phase pivots on their +-1 entries, cheapest
+fill estimate first from a heap, so the reduction stays fraction-free; then
+what is left, with no unit entry, is reduced on the same dicts, each time by
+an entry of least absolute value, not by a pivot held at one place through
+Euclid steps, which can make the entries grow without bound (Kannan-Bachem).
+All arithmetic is arbitrary-precision.
 
 Only the face lists of the complex are kept. Each operator is built from them
 when it is needed, one at a time, as the implicit boundary matrix of Ripser
@@ -22,7 +25,7 @@ unit pivot of the same elimination whose pivot row has no other entry, so its
 row operations only zero the rest of its column, and the pivot block still
 has determinant +-1. With b_d b_{d+1} = 0, an omitted column is then an
 integer combination of the kept ones; the column lattice of b_d, and with it
-its rank and invariant factors, is unchanged. Pivots of the dense phase need
+its rank and invariant factors, is unchanged. Pivots of the last phase need
 not be units and never clear a column.
 
 `induced_homologies` gives the homology of many full subcomplexes of one
@@ -179,7 +182,8 @@ def boundary_matrices(x: Complex) -> BoundaryOperators:
 # ---------------------------------------------------------------------------
 
 def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
+    """Invariant factors d1 | d2 | ... | dr of an integer matrix, by the
+    elimination of `_rank_and_factors`."""
     cols: list[dict[int, int]] = [{} for _ in range(m.ncols)]
     for (i, j), v in m.entries.items():
         cols[j][i] = v
@@ -204,7 +208,13 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
 
     Only the columns the peel leaves (208 of ss(6)), renumbered in their
     order so that heap ties break alike, make the heap and the dicts of the
-    rows they touch; `_dense_snf` takes what the Markowitz phase leaves.
+    rows they touch. The Markowitz phase pivots on their +-1 entries. What it
+    leaves (nothing on the paper complexes) is reduced one pivot at a time on
+    an entry of least absolute value, ties to the lower row, then column:
+    floor-quotient row and column operations clear its column and row, and
+    it is recorded once it stands alone, else a smaller remainder pivots
+    next. Those values are turned into a divisibility chain by gcd and lcm
+    of neighbours. `_subtract` does every row and column operation.
     """
     pivot_rows: list[int] = []
     count = [0] * nrows
@@ -256,86 +266,37 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
             heapq.heappush(heap, (current, pi, pj))
             continue
         prow = rows[pi]
-        pcol = cols[pj]
         # clear the pivot column with row operations
-        for r in list(pcol.keys()):
-            if r == pi:
-                continue
-            w = rows[r].pop(pj)
-            del pcol[r]
-            fac = w * v  # w / v, v is a unit
+        for r in [r for r in cols[pj] if r != pi]:
+            _subtract(rows, cols, r, pi, rows[r][pj] * v)  # w / v, v is a unit
             rr = rows[r]
-            for c2, x in prow.items():
-                if c2 == pj:
-                    continue
-                nv = rr.get(c2, 0) - fac * x
-                if nv:
-                    rr[c2] = nv
-                    cols[c2][r] = nv
-                    if nv == 1 or nv == -1:
-                        heapq.heappush(heap, ((len(rr) - 1) * (len(cols[c2]) - 1), r, c2))
-                else:
-                    if c2 in rr:
-                        del rr[c2]
-                        del cols[c2][r]
+            for c in prow:
+                x = rr.get(c)
+                if x == 1 or x == -1:
+                    heapq.heappush(heap, ((len(rr) - 1) * (len(cols[c]) - 1), r, c))
         # the pivot row can now be dropped without fill
-        for c2 in prow:
-            if c2 != pj:
-                del cols[c2][pi]
+        for c in prow:
+            del cols[c][pi]
         prow.clear()
         pivot_rows.append(pi)
 
-    residual_rows = [i for i in touched if rows[i]]
-    factors = [1] * len(pivot_rows)
-    if residual_rows:
-        residual_cols = sorted({j for i in residual_rows for j in rows[i]})
-        factors.extend(_dense_snf([[rows[i].get(j, 0) for j in residual_cols]
-                                   for i in residual_rows]))
-    return tuple(factors), pivot_rows
-
-
-def _dense_snf(mat: list[list[int]]) -> list[int]:
-    """Textbook Smith reduction on a small dense residue."""
-    m = [row[:] for row in mat]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
+    # what is left has no +-1 entry: pivot on an entry of least absolute value,
+    # reduce its row and column by it, and record it once it stands alone
     factors: list[int] = []
-    t = 0
-    while t < min(nr, nc):
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    while True:
+        live = [(abs(v), i, j) for i in touched for j, v in rows[i].items()]
+        if not live:
             break
-        bi, bj = pivot
-        m[t], m[bi] = m[bi], m[t]
-        for row in m:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            clean = True
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, nc):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        clean = False
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for i in range(t, nr):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        clean = False
-            if clean:
-                break
-        factors.append(abs(m[t][t]))
-        t += 1
+        _, pi, pj = min(live)
+        v = rows[pi][pj]
+        for r in [r for r in cols[pj] if r != pi]:
+            _subtract(rows, cols, r, pi, rows[r][pj] // v)
+        for c in [c for c in rows[pi] if c != pj]:
+            _subtract(cols, rows, c, pj, cols[c][pi] // v)
+        if len(rows[pi]) == len(cols[pj]) == 1:
+            factors.append(abs(v))
+            rows[pi].clear()
+            cols[pj].clear()
     changed = True
     while changed:
         changed = False
@@ -345,7 +306,21 @@ def _dense_snf(mat: list[list[int]]) -> list[int]:
                 g = gcd(a, b)
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
-    return factors
+    return (1,) * len(pivot_rows) + tuple(factors), pivot_rows
+
+
+def _subtract(lines: list, cross: list, dst: int, src: int, q: int) -> None:
+    """lines[dst] -= q * lines[src] on sparse {index: value} lines, keeping
+    the transposed lines `cross` in step: rows and columns, either way round."""
+    line = lines[dst]
+    for k, x in lines[src].items():
+        nv = line.get(k, 0) - q * x
+        if nv:
+            line[k] = nv
+            cross[k][dst] = nv
+        elif k in line:
+            del line[k]
+            del cross[k][dst]
 
 
 # ---------------------------------------------------------------------------

@@ -73,15 +73,14 @@ def subset_str(s: int, n: int) -> str:
 
 
 def parse_subset(text: str, n: int) -> int:
-    """Inverse of subset_str for nonempty subsets."""
-    text = text.strip()
-    if not text or text == "{}":
+    """Inverse of subset_str: "{}", or elements written in ASCII digits, one
+    digit each for n <= 9 unless commas separate them."""
+    if text == "{}":
         return 0
-    if "," in text:
-        return mask_from_elements((int(t) for t in text.split(",")), n)
-    if n <= 9:
-        return mask_from_elements((int(ch) for ch in text), n)
-    return mask_from_elements([int(text)], n)
+    elements = text.split(",") if "," in text or n > 9 else list(text)
+    if not elements or not all(t.isascii() and t.isdigit() for t in elements):
+        raise ValueError(f"elements must be runs of ASCII digits, got {text!r}")
+    return mask_from_elements(map(int, elements), n)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,11 @@ def test_missing_input(capsys):
     ({"relation": "ss", "vertices": ["zz"], "facets": [[0]]}, "needs its ground size 'n'"),
     ({"vertices": ["a", "b", "c"], "facets": [[0, 0, 1], [2]]}, "vertex index 0 is repeated"),
     ({"vertices": ["a", "b"], "facets": [[0, 0]]}, "vertex index 0 is repeated in a facet"),
+    ({"n": 12, "vertices": ["1_0", "+7", "3"], "facets": [[0, 1, 2]]},
+     "'1_0' is not a subset of [12]"),
+    ({"n": 12, "vertices": ["3", "+7"], "facets": [[0, 1]]}, "'+7' is not a subset of [12]"),
+    ({"n": 4, "vertices": ["1", "\u0662"], "facets": [[0, 1]]},
+     "'\u0662' is not a subset of [4]"),
     pytest.param("[" * 100000 + "]" * 100000, "nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):

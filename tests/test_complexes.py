@@ -616,6 +616,14 @@ def test_json_round_trip(ss4):
     ({"n": 4, "relation": "ws", "vertices": ["2", "1234"], "facets": [[0, 1]]},
      "'1234' is a frozen subset of [4]"),
     ({"n": 4, "vertices": ["12", "21"], "facets": [[0, 1]]}, "name the same subset"),
+    ({"n": 12, "vertices": ["1_0", "+7", "3"], "facets": [[0, 1, 2]]},
+     "'1_0' is not a subset of [12]"),
+    ({"n": 12, "vertices": ["3", "+7"], "facets": [[0, 1]]}, "'+7' is not a subset of [12]"),
+    ({"n": 12, "vertices": ["3", " 7"], "facets": [[0, 1]]}, "' 7' is not a subset of [12]"),
+    ({"n": 12, "vertices": ["3", "1, 2"], "facets": [[0, 1]]},
+     "'1, 2' is not a subset of [12]"),
+    ({"n": 4, "vertices": ["1", "\u0662"], "facets": [[0, 1]]},
+     "'\u0662' is not a subset of [4]"),
 ])
 def test_from_dict_checks_the_labels_against_n_and_relation(payload, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -217,12 +217,32 @@ def test_snf_identity_and_zero():
     assert smith_normal_form(SparseIntMatrix(3, 4)) == ()
 
 
+# a pivot held in place while Euclid steps run blows its entries up on this one
+# (past 11000 bits by the fourth pivot); one of least absolute value does not
+ENTRY_GROWTH = [
+    [0, -2, 23, -2, -4, 25, -20, 5],
+    [-17, 0, 18, 0, 14, -20, -16, 8],
+    [4, 9, 28, -6, -8, 0, -19, -28],
+    [22, -20, 0, -22, -6, 13, -11, 21],
+    [-9, 23, 14, 4, 0, 0, 21, 9],
+    [23, 0, 3, -4, -6, 28, 30, 5],
+]
+
+
 def test_snf_matches_oracle_on_random_matrices():
+    assert smith_normal_form(from_rows(ENTRY_GROWTH)) == (1,) * 6
+    assert oracle_snf(ENTRY_GROWTH) == [1] * 6
     rng = random.Random(20110815)
     for _ in range(120):
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+        got = list(smith_normal_form(from_rows(rows)))
+        assert got == oracle_snf(rows), rows
+    for _ in range(150):
+        nr = rng.randint(1, 12)
+        nc = rng.randint(1, 12)
+        rows = [[rng.randint(-30, 30) for _ in range(nc)] for _ in range(nr)]
         got = list(smith_normal_form(from_rows(rows)))
         assert got == oracle_snf(rows), rows
 
@@ -333,8 +353,8 @@ def test_tall_sparse_matrices_match_oracle():
 
 
 def test_tall_sparse_elimination_allocates_no_dict_per_row():
-    """A 2 x 2 block that needs the dense phase, a +-1 cycle that needs the
-    Markowitz phase, 100000 rows in all: the elimination allocates the two
+    """A 2 x 2 block with no unit entry, which only the last phase reduces, a
+    +-1 cycle that needs the Markowitz phase, 100000 rows in all: the elimination allocates the two
     peel counters and a row list, about 25 bytes a row, and no dict for a row
     that no live column touches (an empty dict alone takes 64 bytes)."""
     nrows = 100_000
@@ -577,8 +597,9 @@ def assert_only_uncleared_columns_reach_the_elimination(cx):
     """`_rank_and_factors` receives f_d - rank(b_{d+1}) columns for each d,
     top down, and pivots on the rows it pivots on when the cleared columns
     are passed in as empty ones. The count holds when every pivot of
-    b_{d+1} is a unit, as on complexes without torsion: a pivot of the dense
-    phase adds rank and clears nothing."""
+    b_{d+1} is a unit, as on complexes without torsion: a pivot of the last
+    phase, on an entry of least absolute value, adds rank and clears
+    nothing."""
     calls = []
     real = homology._rank_and_factors
 

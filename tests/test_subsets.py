@@ -240,6 +240,11 @@ def test_parse_rejects_bad_input():
         parse_subset("19", 5)
     with pytest.raises(ValueError):
         parse_subset("11", 5)
+    # each element is a run of ASCII digits: no sign, underscore, space or other script
+    for text, n in [("1_0", 12), ("+7", 12), (" 7", 12), ("1, 2", 12), ("7 ", 12),
+                    ("\u0662", 4), ("1,", 12), ("", 4), ("", 12)]:
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_subset(text, n)
 
 
 # --- the separation graph -------------------------------------------------------
