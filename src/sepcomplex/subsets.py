@@ -73,13 +73,15 @@ def subset_str(s: int, n: int) -> str:
 
 
 def parse_subset(text: str, n: int) -> int:
-    """Inverse of subset_str: "{}", or elements written in ASCII digits, one
-    digit each for n <= 9 unless commas separate them."""
+    """Inverse of subset_str: "{}", or elements written in ASCII digits with
+    no leading zero, one digit each for n <= 9 unless commas separate them."""
     if text == "{}":
         return 0
     elements = text.split(",") if "," in text or n > 9 else list(text)
     if not elements or not all(t.isascii() and t.isdigit() for t in elements):
         raise ValueError(f"elements must be runs of ASCII digits, got {text!r}")
+    if any(t[0] == "0" and len(t) > 1 for t in elements):
+        raise ValueError(f"elements are written without a leading zero, got {text!r}")
     return mask_from_elements(map(int, elements), n)
 
 

@@ -238,6 +238,7 @@ def test_missing_input(capsys):
     ({"n": 12, "vertices": ["3", "+7"], "facets": [[0, 1]]}, "'+7' is not a subset of [12]"),
     ({"n": 4, "vertices": ["1", "\u0662"], "facets": [[0, 1]]},
      "'\u0662' is not a subset of [4]"),
+    ({"n": 12, "vertices": ["07", "3"], "facets": [[0, 1]]}, "'07' is not a subset of [12]"),
     pytest.param("[" * 100000 + "]" * 100000, "nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_complex_json_exits_2(tmp_path, capsys, payload, message):

@@ -1,7 +1,9 @@
 """Integer homology: Smith form against a textbook oracle, known spaces,
 the rational-rank cross-check, the free-face peel, cleared against uncleared
-reduction, the columns clearing keeps out of the elimination, and full
-subcomplexes reduced off their parent's operators."""
+reduction, the columns clearing and the cone of one edge keep out of the
+elimination, and full subcomplexes reduced off their parent's operators."""
+import functools
+import operator
 import random
 import tracemalloc
 from math import gcd
@@ -18,7 +20,7 @@ from test_complexes import (
 )
 
 from sepcomplex import homology
-from sepcomplex.complexes import Complex, cross_polytope_boundary, isomorphic
+from sepcomplex.complexes import Complex, clique_complex, cross_polytope_boundary, isomorphic
 from sepcomplex.homology import (
     HomologyGroup,
     SparseIntMatrix,
@@ -586,6 +588,55 @@ def test_cleared_homology_on_torsion_corpus(cx, expected):
     assert [str(g) for g in assert_clearing_agrees(cx)] == expected
 
 
+@pytest.mark.parametrize("space, expected", [
+    (PROJECTIVE_PLANE, ["0", "Z/2", "0"]),
+    (moore_space_z3(), ["0", "Z/3", "0"]),
+    (klein_bottle(), ["0", "Z + Z/2", "0"]),
+], ids=["sd-rp2", "sd-moore-z3", "sd-klein"])
+def test_torsion_survives_the_cone(space, expected):
+    """The subdivisions are clique complexes, so the torsion is read relative
+    to the stars of an edge; the oracle sees the whole complex."""
+    cx = barycentric_subdivision(space)
+    assert len(homology._cone(cx.graph, cx.vertex_mask)) == 2
+    assert [str(g) for g in assert_clearing_agrees(cx)] == expected
+
+
+@pytest.mark.parametrize("adjacency, expected", [
+    ([0b01010, 0b00101, 0b01010, 0b00101, 0], ["Z", "Z"]),  # a 4-cycle and an isolated vertex
+    ([0b010, 0b001, 0], ["Z", "0"]),  # an edge and an isolated vertex
+    ([0, 0, 0, 0], ["Z^3"]),  # four points, no edge: the cone is one vertex
+    ([0], ["0"]),
+], ids=["cycle-and-point", "edge-and-point", "no-edge", "one-point"])
+def test_cone_on_isolated_vertices(adjacency, expected):
+    cx = clique_complex([str(v) for v in range(len(adjacency))], adjacency)
+    cone = homology._cone(cx.graph, cx.vertex_mask)
+    assert len(cone) == (2 if any(adjacency) else 1)
+    assert [str(g) for g in assert_clearing_agrees(cx)] == expected
+    vm = cx.vertex_mask
+    assert_induced_matches_oracle(cx, [vm, vm & ~1, vm & ~(1 << len(adjacency) - 1), 1])
+
+
+def assert_cone_is_an_edge(graph, vm):
+    """`_cone` gives the closed neighbourhoods of two adjacent vertices of
+    vm: u of most neighbours in vm, then w, u's neighbour of most
+    neighbours in vm, ties to the lower index."""
+    degree = {v: (graph[v] & vm).bit_count() for v in range(len(graph)) if vm >> v & 1}
+    u = min(degree, key=lambda v: (-degree[v], v))
+    w = min((v for v in degree if graph[u] >> v & 1), key=lambda v: (-degree[v], v))
+    assert homology._cone(graph, vm) == (graph[u] | 1 << u, graph[w] | 1 << w)
+
+
+def test_cone_is_an_edge_on_the_paper_complexes(ss4, ws4, ss5, ws5):
+    for sc in (ss4, ws4, ss5, ws5):
+        assert_cone_is_an_edge(sc.complex.graph, sc.complex.vertex_mask)
+    common = functools.reduce(operator.and_, (m for m in _deletion_masks(ws5).values() if m))
+    assert_cone_is_an_edge(ws5.complex.graph, common)
+    # 216 of ws(5)'s 1867 faces lie outside the stars of the deletion table's edge
+    ops = homology._relative(boundary_matrices(ws5.complex),
+                             homology._cone(ws5.complex.graph, common))
+    assert sum(len(level) for level in ops.faces) == 216
+
+
 def test_cleared_homology_on_paper_complexes(ss4, ws4, ss5, ws5):
     for sc in (ss4, ws4, ss5, ws5):
         assert_clearing_agrees(sc.complex)
@@ -594,31 +645,44 @@ def test_cleared_homology_on_paper_complexes(ss4, ws4, ss5, ws5):
 
 
 def assert_only_uncleared_columns_reach_the_elimination(cx):
-    """`_rank_and_factors` receives f_d - rank(b_{d+1}) columns for each d,
-    top down, and pivots on the rows it pivots on when the cleared columns
-    are passed in as empty ones. The count holds when every pivot of
-    b_{d+1} is a unit, as on complexes without torsion: a pivot of the last
-    phase, on an entry of least absolute value, adds rank and clears
-    nothing."""
+    """`reduced_homology` reduces the chain complex relative to the closed
+    neighbourhoods N[u], N[w] of `_cone`: its d-faces are exactly those
+    inside neither, and b_0 has a row only when the cone is empty. Then
+    `_rank_and_factors` receives exactly the uncleared ones of those columns,
+    f_d - rank(b_{d+1}) of them, in face order for each d, top down, and
+    pivots on the rows it pivots on when the cleared columns are passed in
+    as empty ones. The count holds when every pivot of b_{d+1} is a unit, as
+    on complexes without torsion: a pivot of the last phase, on an entry of
+    least absolute value, adds rank and clears nothing."""
     calls = []
     real = homology._rank_and_factors
 
     def recording(nrows, cols):
-        width = len(cols)
+        given = [dict(col) for col in cols]
         factors, pivot_rows = real(nrows, cols)
-        calls.append((nrows, width, factors, pivot_rows))
+        calls.append((nrows, given, factors, pivot_rows))
         return factors, pivot_rows
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_rank_and_factors", recording)
         groups = reduced_homology(cx)
-    ops = boundary_matrices(cx)
+    cone = homology._cone(cx.graph, cx.vertex_mask)
+    assert bool(cone) == (cx.graph is not None and cx.vertex_mask != 0)
+    ops = homology._relative(boundary_matrices(cx), cone)
+    levels = list(cx.face_levels())
+    assert len(ops) == len(levels)
+    for level, kept in zip(levels, ops.faces):
+        assert kept == [f for f in level if all(f & ~n for n in cone)]
+    assert ops.nrows(0) == (0 if cone else 1)
     expected = []
     cleared, rank_above = frozenset(), 0
     for d in reversed(range(len(ops))):
-        cols = [{} if j in cleared else col for j, col in enumerate(ops.columns(d))]
+        full = ops.columns(d)
+        uncleared = [dict(col) for j, col in enumerate(full) if j not in cleared]
+        assert len(uncleared) == len(ops.faces[d]) - rank_above
+        cols = [{} if j in cleared else col for j, col in enumerate(full)]
         factors, pivot_rows = real(ops.nrows(d), cols)
-        expected.append((ops.nrows(d), len(ops.faces[d]) - rank_above, factors, pivot_rows))
+        expected.append((ops.nrows(d), uncleared, factors, pivot_rows))
         cleared, rank_above = frozenset(pivot_rows), len(factors)
     assert calls == expected
     return groups
@@ -640,6 +704,14 @@ def test_only_uncleared_columns_reach_the_elimination(cx):
 def assert_induced_matches_one_by_one(cx, vmasks):
     groups = induced_homologies(cx, vmasks)
     assert groups == [reduced_homology(cx.induced_mask(m)) for m in vmasks]
+    return groups
+
+
+def assert_induced_matches_oracle(cx, vmasks):
+    """As above, against the uncleared SNF of each full subcomplex, which
+    never sees a cone."""
+    groups = assert_induced_matches_one_by_one(cx, vmasks)
+    assert groups == [uncleared_groups(cx.induced_mask(m)) for m in vmasks]
     return groups
 
 
@@ -668,3 +740,23 @@ def test_induced_homologies_keep_torsion_and_trim_dimensions():
     groups = assert_induced_matches_one_by_one(cx, [plane, circle, plane | circle, 1 << 6, 0])
     assert [[str(g) for g in gs] for gs in groups] == [
         ["0", "Z/2", "0"], ["0", "Z"], ["Z", "Z + Z/2", "0"], ["0"], []]
+
+
+def test_induced_homologies_share_a_cone_inside_every_mask():
+    """On sd(RP^2), a clique complex, the views share the stars of one edge
+    when the masks meet in one, and take the augmented complex when they
+    meet in nothing; a view inside the stars keeps its trailing groups."""
+    cx = barycentric_subdivision(PROJECTIVE_PLANE)
+    vm = cx.vertex_mask
+    nu, nw = homology._cone(cx.graph, vm)
+    stars = nu | nw
+    rim = [1 << v for v in range(len(cx.labels)) if not stars >> v & 1]
+    meeting = [vm, stars, vm & ~rim[0], vm & ~(rim[1] | rim[-1]), stars | rim[2], 0]
+    assert len(homology._cone(cx.graph, functools.reduce(operator.and_, meeting[:-1]))) == 2
+    groups = assert_induced_matches_oracle(cx, meeting)
+    assert [str(g) for g in groups[0]] == ["0", "Z/2", "0"]
+    assert [str(g) for g in groups[1]] == ["0", "0", "0"]
+    halves = [vm, (1 << 15) - 1, vm & ~((1 << 15) - 1)]
+    assert functools.reduce(operator.and_, halves) == 0
+    groups = assert_induced_matches_oracle(cx, halves)
+    assert [str(g) for g in groups[0]] == ["0", "Z/2", "0"]

@@ -245,6 +245,14 @@ def test_parse_rejects_bad_input():
                     ("\u0662", 4), ("1,", 12), ("", 4), ("", 12)]:
         with pytest.raises(ValueError, match="ASCII digits"):
             parse_subset(text, n)
+    # subset_str never writes a leading zero, so an element written with one is refused
+    for text in ("07", "1,07"):
+        with pytest.raises(ValueError, match="leading zero"):
+            parse_subset(text, 12)
+    assert parse_subset("10", 12) == mask_from_elements([10], 12)
+    for text, n in [("0", 4), ("1,0", 12)]:
+        with pytest.raises(ValueError, match="element 0 outside"):
+            parse_subset(text, n)
 
 
 # --- the separation graph -------------------------------------------------------
