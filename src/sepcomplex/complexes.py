@@ -7,7 +7,8 @@ carry the adjacency masks along; induced-type operations keep that structure,
 which speeds up face enumeration and membership tests.
 
 Every face enumeration reads the one walker Complex.face_levels: a clique
-walk with a graph, facet subsets without. The collapse enumerates no faces.
+walk with a graph, facet subsets without, either of them kept to the faces
+outside given vertex masks when asked. The collapse enumerates no faces.
 """
 from __future__ import annotations
 
@@ -175,7 +176,7 @@ class Complex:
             return True
         return any(m & ~f == 0 for f in self.facets)
 
-    def face_levels(self) -> Iterator[list[int]]:
+    def face_levels(self, avoid: Sequence[int] = ()) -> Iterator[list[int]]:
         """Faces of each dimension from 0 up, one list of masks per dimension.
 
         Each list is in lexicographic order of the sorted vertex tuples. A
@@ -183,6 +184,15 @@ class Complex:
         neighbours above its top vertex; a facet-only complex takes the
         subsets of its facets. The lists are the walker's own: read them,
         do not modify them.
+
+        With vertex masks in `avoid`, only the faces inside none of them are
+        listed, in the same order, and the levels may stop early: those past
+        the last one yielded hold no such face. Such faces form an up-set, so
+        the clique walk carries per face the bitset of the masks it has left,
+        the OR of a per-vertex table: a face that has left them all is kept,
+        and so is every face below it in the walk, with no further test. A
+        branch is dropped once the face and its candidates lie inside one
+        mask the face has not left, since every face below it does too.
         """
         g = self.graph
         if g is None:
@@ -192,7 +202,36 @@ class Complex:
                 found: set[tuple[int, ...]] = set()
                 for b in bits:
                     found.update(combinations(b, k))
-                yield [sum(c) for c in sorted(found)]
+                level = [sum(c) for c in sorted(found)]
+                yield [m for m in level if all(m & ~a for a in avoid)] if avoid else level
+            return
+        if avoid:  # a loop of its own: the full walk below carries no bitset
+            full = (1 << len(avoid)) - 1
+            leaves = [sum(1 << i for i, a in enumerate(avoid) if not a >> v & 1)
+                      for v in range(len(g))]  # leaves[v]: the masks without v
+            outside = [~a for a in avoid]
+            nodes = [(0, self.vertex_mask, 0)]  # face, candidates, masks it has left
+            while nodes:
+                kept: list[int] = []
+                next_nodes: list[tuple[int, int, int]] = []
+                for m, cand, left in nodes:
+                    rest = cand
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        v = low.bit_length() - 1
+                        c = rest & g[v]
+                        gone = left | leaves[v]
+                        if gone == full:
+                            kept.append(m | low)
+                        elif any(not c & out for i, out in enumerate(outside)
+                                 if not gone >> i & 1):
+                            continue  # every face below lies inside mask i
+                        next_nodes.append((m | low, c, gone))
+                if not next_nodes:
+                    return
+                yield kept
+                nodes = next_nodes
             return
         faces, cands = [0], [self.vertex_mask]
         while True:

@@ -2,17 +2,26 @@
 
 Before any column is built, the chain complex is shrunk by a contractible
 subcomplex, as the coreduction algorithm of Mrozek-Batko removes one vertex,
-since H~(X) = H(X, v). Let X be a clique complex and u ~ w adjacent vertices.
-Its full subcomplexes on the closed neighbourhoods N[u] and N[w] are cones on
-u and on w, and they meet in the full subcomplex on N[u] & N[w], a cone on u.
-So their union A is acyclic, and the long exact sequence of the pair gives
-H~_d(X) = H_d(X, A) in every dimension, torsion included. C(X, A) has one
-generator per face inside neither N[u] nor N[w] (an up-set of the faces; 77953
-of ss(6)'s 187200, 39648 of ws(6)'s 410399), its boundary is the usual one
-with the faces of A left out (the relative complex of Kaczynski-Mrozek-
-Slusarek), and it has no augmentation row. `_cone` picks u and w; a complex
-without a graph takes the empty cone, A empty, which is the augmented complex
-on the same code path.
+since H~(X) = H(X, v). Let X be a clique complex and K = {v_1, ..., v_k} a
+clique of it. The full subcomplexes on the closed neighbourhoods N[v_i] are
+cones on the v_i, and any intersection of some of them is the full
+subcomplex on the common part of their neighbourhoods, which holds every
+v_i it was taken over, so it is a cone again. Their nerve is a full simplex,
+so their union A is contractible (the nerve theorem, Bjorner), and the long
+exact sequence of the pair gives H~_d(X) = H_d(X, A) in every dimension,
+torsion included. C(X, A) has one generator per face inside no N[v_i] (an
+up-set of the faces), its boundary is the usual one with the faces of A left
+out (the relative complex of Kaczynski-Mrozek-Slusarek), and it has no
+augmentation row. `_cone` picks K, greedily and maximal: on ss(6) 32417 of
+the 187200 faces are left, on ws(6) 5360 of 410399. A complex without a
+graph takes the empty cone, A empty, which is the augmented complex on the
+same code path.
+
+Those faces are never listed with the rest: `Complex.face_levels(avoid)`
+walks only the branches of the clique walk that can still leave every
+N[v_i], 36569 walk nodes on ss(6) and 9012 on ws(6). `BoundaryOperators`
+holds the complex and its masks and walks on first use, so the full walk
+that `boundary_matrices` stands for runs only when its operators are read.
 
 Boundary operators are sparse integer matrices, brought to Smith normal form
 by a three-phase elimination. The peel pivots on each +-1 entry alone in its
@@ -43,20 +52,21 @@ its rank and invariant factors, is unchanged. Pivots of the last phase need
 not be units and never clear a column.
 
 `induced_homologies` gives the homology of many full subcomplexes of one
-complex, as the deletion covering asks for, from one build. It picks one
-cone, u and w inside every vertex mask that meets the complex: for a full
-subcomplex X[vm] holding u and w, A & X[vm] is again the union of the full
-subcomplexes on N[u] & vm and N[w] & vm, so one relative complex of the
-parent serves every view, and each view's faces are the parent's relative
-faces inside its mask. A cone chosen per view would need a relative complex
-per view, and took the 64 ws(5) deletion intersections to 0.016 s against
-0.007 s shared (one shared 2-vCPU host, CPython 3.11). Each mask is reduced
-through an induced view of the parent's relative operators: its rows and
-columns keep the parent's numbering, and each parent column is built once
-for all the views. The view hands out copies of those columns, since the
-peel clears its columns in place; `reduced_homology` builds each column for
-one elimination only, so it reduces them where they are built and copies
-nothing. Both run the one top-down clearing loop, `_reduce`.
+complex, as the deletion covering asks for, from one walk. It picks one
+cone, a clique inside every vertex mask that meets the complex: for a full
+subcomplex X[vm] holding K, A & X[vm] is the union of the full subcomplexes
+on the N[v_i] & vm, again cones meeting in cones, so one relative complex of
+the parent serves every view, and each view's faces are the parent's
+relative faces inside its mask. A cone chosen per view would need a
+relative complex per view, and took the 64 ws(5) deletion intersections to
+0.016 s against 0.007 s shared with an edge as the cone (one shared 2-vCPU
+host, CPython 3.11). Each mask is reduced through an induced view of the
+parent's relative operators: its rows and columns keep the parent's
+numbering, and each parent column is built once for all the views. The view
+hands out copies of those columns, since the peel clears its columns in
+place; `reduced_homology` builds each column for one elimination only, so
+it reduces them where they are built and copies nothing. Both run the one
+top-down clearing loop, `_reduce`.
 """
 from __future__ import annotations
 
@@ -134,25 +144,37 @@ class HomologyGroup:
 # ---------------------------------------------------------------------------
 
 class BoundaryOperators(Sequence[SparseIntMatrix]):
-    """The boundary operators of a chain complex given by its face lists,
-    dimensions 0..len - 1, built one at a time.
+    """The boundary operators of the chain complex of `complex` relative to
+    the full subcomplexes on the vertex masks `avoid`, dimensions
+    0..dim(complex), built one at a time.
 
-    The rows of b_0 are the empty face when `augmented`, which makes the
-    homology reduced, and none otherwise, as in a complex relative to a
-    nonempty subcomplex. Indexing builds one operator as a `SparseIntMatrix`;
-    `columns` builds the same operator as the column dicts the elimination
-    works on. Only the face lists are kept, so no two operators need to be
-    alive at once.
+    Its generators are the faces inside none of the masks, walked by
+    `Complex.face_levels(avoid)` on first use and padded with empty levels
+    up to the complex's top dimension. With no masks, the rows of b_0 are
+    the empty face, which makes the homology reduced; otherwise there are
+    none, as relative to a nonempty subcomplex. Indexing builds one operator
+    as a `SparseIntMatrix`; `columns` builds the same operator as the column
+    dicts the elimination works on. Only the face lists are kept, so no two
+    operators need to be alive at once.
     """
 
-    __slots__ = ("faces", "augmented")
+    __slots__ = ("complex", "avoid", "_faces")
 
-    def __init__(self, faces: list[list[int]], augmented: bool = True):
-        self.faces = faces  # faces[d]: the d-faces as masks, in walker order
-        self.augmented = augmented
+    def __init__(self, x: Complex, avoid: tuple[int, ...] = ()):
+        self.complex = x
+        self.avoid = avoid
+        self._faces: list[list[int]] | None = None
+
+    @property
+    def faces(self) -> list[list[int]]:
+        """faces[d]: the d-faces as masks, in walker order."""
+        if self._faces is None:
+            faces = list(self.complex.face_levels(self.avoid))
+            self._faces = faces + [[] for _ in range(len(self) - len(faces))]
+        return self._faces
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return self.complex.dimension() + 1
 
     def __getitem__(self, d: int | slice) -> SparseIntMatrix | list[SparseIntMatrix]:
         if isinstance(d, slice):
@@ -166,7 +188,7 @@ class BoundaryOperators(Sequence[SparseIntMatrix]):
         return op
 
     def _rows(self, d: int) -> list[int]:
-        return self.faces[d - 1] if d else ([0] if self.augmented else [])
+        return self.faces[d - 1] if d else ([] if self.avoid else [0])
 
     def nrows(self, d: int) -> int:
         return len(self._rows(d))
@@ -199,10 +221,10 @@ def boundary_matrices(x: Complex) -> BoundaryOperators:
     """Boundary operators of the augmented chain complex, dimensions 0..dim.
 
     The degree-0 operator is the augmentation row (all ones), which makes the
-    resulting homology reduced. The faces are walked here; each operator is
-    built when it is asked for.
+    resulting homology reduced. The faces are walked when first asked for,
+    and each operator is built when it is asked for.
     """
-    return BoundaryOperators(list(x.face_levels()))
+    return BoundaryOperators(x)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +254,10 @@ def _rank_and_factors(nrows: int, cols: list[dict[int, int]]
     The order decides which of two singleton rows on one column pivots, and
     so which columns clearing removes from the next operator down. On the
     chain complex of ws(6) relative to its cone (`reduced_homology`) it
-    pivots 19824 times and leaves no column to the Markowitz phase; popping
-    the rows as a stack left 74.
+    pivots 2680 times and leaves no column to the Markowitz phase; popping
+    the rows as a stack left 179.
 
-    Only the columns the peel leaves (61 of ss(6)'s), renumbered in their
+    Only the columns the peel leaves (12 of ss(6)'s), renumbered in their
     order so that heap ties break alike, make the heap and the dicts of the
     rows they touch. The Markowitz phase pivots on their +-1 entries. What it
     leaves (nothing on the paper complexes) is reduced one pivot at a time on
@@ -360,8 +382,11 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
     """Reduced integer homology groups, one per dimension 0..dim(x).
 
     The groups are read off the chain complex of x relative to the stars of
-    one edge (`_relative`, see the module docstring), which has the same
-    homology and only the faces outside those stars. The rank in dimension d
+    a greedy clique (`_cone`, `_relative`, see the module docstring), which
+    has the same homology by the nerve theorem and only the faces outside
+    those stars. `boundary_matrices(x)` walks nothing unless its operators
+    are read, and the relative complex walks only the faces outside the
+    stars, so no full walk of x runs here. The rank in dimension d
     is the number of those d-faces less rank(b_d) and rank(b_{d+1}); the
     torsion comes from the invariant factors of b_{d+1} exceeding 1. The
     operators are reduced from the top dimension down, and b_d omits the
@@ -374,10 +399,12 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
 
 def induced_homologies(x: Complex, vmasks: Iterable[int]) -> list[list[HomologyGroup]]:
     """`reduced_homology(x.induced_mask(m))` for each vertex mask m, in order,
-    from one walk of x's faces. One cone, chosen inside every mask that meets
-    x, is shared: x's chain complex relative to it is built once, and each
-    full subcomplex is reduced through an `_InducedOperators` view of it, which
-    builds each column once for all the views."""
+    from one walk of x's faces outside the cone. One cone, a greedy clique
+    chosen inside the AND of the masks that meet x, is shared: each such
+    mask holds the clique, so the clique lemma holds in every full
+    subcomplex, x's chain complex relative to the cone is built once, and
+    each full subcomplex is reduced through an `_InducedOperators` view of
+    it, which builds each column once for all the views."""
     vmasks = list(vmasks)
     vm = x.vertex_mask
     common = reduce(and_, [m & vm for m in vmasks if m & vm], vm)
@@ -393,28 +420,37 @@ def induced_homologies(x: Complex, vmasks: Iterable[int]) -> list[list[HomologyG
 
 
 def _cone(graph: Sequence[int] | None, vm: int) -> tuple[int, ...]:
-    """The closed neighbourhoods in `graph` of at most two adjacent vertices
-    of vm: u with the most neighbours in vm, then w, u's neighbour in vm with
-    the most neighbours in vm, ties to the lower index. Only u's when it has
-    no neighbour in vm, and none without a graph or a vertex."""
+    """The closed neighbourhoods in `graph` of a greedy maximal clique of vm:
+    u, the vertex of vm with the most neighbours in vm, then, while the
+    clique has common neighbours in vm, the one of them with the most
+    neighbours in vm, ties to the lower index. One mask for an isolated
+    vertex, none without a graph or a vertex.
+
+    The union of the full subcomplexes on these masks is contractible: any
+    intersection of some of them is the full subcomplex on the common part
+    of their masks, a cone on each clique vertex whose mask it was taken
+    over, so their nerve is a full simplex (the nerve theorem, Bjorner). The
+    same holds in the full subcomplex on any mask holding vm, with each
+    mask cut down to it, since the clique lies inside vm.
+    """
     if graph is None or not vm:
         return ()
-
-    def busiest(among: int) -> int:
-        return max(_mask_to_tuple(among), key=lambda v: ((graph[v] & vm).bit_count(), -v))
-
-    u = busiest(vm)
-    ends = (u, busiest(graph[u] & vm)) if graph[u] & vm else (u,)
-    return tuple(graph[v] | 1 << v for v in ends)
+    degree = {v: (graph[v] & vm).bit_count() for v in _mask_to_tuple(vm)}
+    clique = []
+    cand = vm
+    while cand:
+        v = max(_mask_to_tuple(cand), key=lambda v: (degree[v], -v))
+        clique.append(v)
+        cand &= graph[v]
+    return tuple(graph[v] | 1 << v for v in clique)
 
 
 def _relative(ops: BoundaryOperators, cone: tuple[int, ...]) -> BoundaryOperators:
-    """The chain complex of ops's faces relative to the full subcomplexes on
-    the masks of `cone`: the faces inside none of them, and no augmentation
-    row unless the cone is empty."""
-    a, b = (~cone[0], ~cone[-1]) if cone else (-1, -1)
-    return BoundaryOperators([[f for f in level if f & a and f & b] for level in ops.faces],
-                             augmented=not cone)
+    """The chain complex of ops's complex relative to the full subcomplexes
+    on the masks of `cone`: the faces inside none of them, and no
+    augmentation row unless the cone is empty. Its faces are walked on first
+    use, and only those outside the masks are visited."""
+    return BoundaryOperators(ops.complex, cone)
 
 
 class _InducedOperators:

@@ -1,4 +1,5 @@
-"""The face walker against brute force, and boundary assembly against a
+"""The face walker against brute force, the walk outside vertex masks
+against the filtered full walk, and boundary assembly against a
 tuple-slicing reference kept here in the test."""
 from itertools import combinations
 
@@ -110,6 +111,20 @@ def test_facet_walker_matches_brute_force(data):
     assert cx.graph is None
     assert_walker_matches(cx, brute_facet_levels(facets))
     assert_boundary_squares_to_zero(cx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs().map(lambda g: clique_complex([str(i) for i in range(g[0])], g[1])),
+                 facet_lists().map(lambda f: Complex([str(i) for i in range(f[0])], f[1]))),
+       st.lists(st.integers(0, (1 << 10) - 1), max_size=4))
+def test_walk_outside_masks_filters_the_full_walk(cx, avoid):
+    """face_levels(avoid) lists the faces inside none of the masks, level by
+    level and in the walker's order; the levels it stops short of are empty."""
+    full = list(cx.face_levels())
+    levels = list(cx.face_levels(avoid))
+    assert len(levels) <= len(full)
+    assert levels + [[]] * (len(full) - len(levels)) == \
+        [[f for f in level if all(f & ~a for a in avoid)] for level in full]
 
 
 @pytest.mark.parametrize("name", ["ss4", "ws5", "ss6", "boundary ws5", "facet-only ws5"])

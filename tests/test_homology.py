@@ -1,6 +1,6 @@
 """Integer homology: Smith form against a textbook oracle, known spaces,
 the rational-rank cross-check, the free-face peel, cleared against uncleared
-reduction, the columns clearing and the cone of one edge keep out of the
+reduction, the columns clearing and the cone of a clique keep out of the
 elimination, and full subcomplexes reduced off their parent's operators."""
 import functools
 import operator
@@ -595,9 +595,10 @@ def test_cleared_homology_on_torsion_corpus(cx, expected):
 ], ids=["sd-rp2", "sd-moore-z3", "sd-klein"])
 def test_torsion_survives_the_cone(space, expected):
     """The subdivisions are clique complexes, so the torsion is read relative
-    to the stars of an edge; the oracle sees the whole complex."""
+    to the stars of a maximal clique; the oracle sees the whole complex."""
     cx = barycentric_subdivision(space)
-    assert len(homology._cone(cx.graph, cx.vertex_mask)) == 2
+    vm = cx.vertex_mask
+    assert len(cone_clique(cx.graph, vm, homology._cone(cx.graph, vm))) == 3
     assert [str(g) for g in assert_clearing_agrees(cx)] == expected
 
 
@@ -616,25 +617,49 @@ def test_cone_on_isolated_vertices(adjacency, expected):
     assert_induced_matches_oracle(cx, [vm, vm & ~1, vm & ~(1 << len(adjacency) - 1), 1])
 
 
-def assert_cone_is_an_edge(graph, vm):
-    """`_cone` gives the closed neighbourhoods of two adjacent vertices of
-    vm: u of most neighbours in vm, then w, u's neighbour of most
-    neighbours in vm, ties to the lower index."""
+def cone_clique(graph, vm, cone):
+    """The vertices of vm whose closed neighbourhoods `cone` lists, checked
+    to be a maximal clique of vm: the common part of their closed
+    neighbourhoods inside vm is the clique itself."""
+    closed = [a | 1 << v for v, a in enumerate(graph)]
+    clique = [v for v in range(len(graph)) if vm >> v & 1 and closed[v] in cone]
+    assert len(clique) == len(cone)
+    assert functools.reduce(operator.and_, (closed[v] for v in clique), vm) == \
+        sum(1 << v for v in clique)
+    return clique
+
+
+def assert_cone_is_a_greedy_clique(graph, vm):
+    """`_cone` gives the closed neighbourhoods of a greedy clique of vm: the
+    vertex of most neighbours in vm, then, while the clique has common
+    neighbours in vm, the one of them of most neighbours in vm, ties to the
+    lower index."""
     degree = {v: (graph[v] & vm).bit_count() for v in range(len(graph)) if vm >> v & 1}
-    u = min(degree, key=lambda v: (-degree[v], v))
-    w = min((v for v in degree if graph[u] >> v & 1), key=lambda v: (-degree[v], v))
-    assert homology._cone(graph, vm) == (graph[u] | 1 << u, graph[w] | 1 << w)
+    clique, cand = [], set(degree)
+    while cand:
+        v = min(cand, key=lambda v: (-degree[v], v))
+        clique.append(v)
+        cand = {w for w in cand if graph[v] >> w & 1}
+    cone = homology._cone(graph, vm)
+    assert cone == tuple(graph[v] | 1 << v for v in clique)
+    assert cone_clique(graph, vm, cone) == sorted(clique)
+    return cone
 
 
-def test_cone_is_an_edge_on_the_paper_complexes(ss4, ws4, ss5, ws5):
-    for sc in (ss4, ws4, ss5, ws5):
-        assert_cone_is_an_edge(sc.complex.graph, sc.complex.vertex_mask)
+def relative_face_count(cx, cone):
+    return sum(len(level) for level in homology._relative(boundary_matrices(cx), cone).faces)
+
+
+def test_cone_is_a_greedy_clique_on_the_paper_complexes(ss4, ws4, ss5, ws5):
+    # the faces outside the stars of the clique: 9 of ss(4)'s 32, 2 of
+    # ws(4)'s 35, 263 of ss(5)'s 1326, 80 of ws(5)'s 1867
+    for sc, kept in ((ss4, 9), (ws4, 2), (ss5, 263), (ws5, 80)):
+        cone = assert_cone_is_a_greedy_clique(sc.complex.graph, sc.complex.vertex_mask)
+        assert relative_face_count(sc.complex, cone) == kept
     common = functools.reduce(operator.and_, (m for m in _deletion_masks(ws5).values() if m))
-    assert_cone_is_an_edge(ws5.complex.graph, common)
-    # 216 of ws(5)'s 1867 faces lie outside the stars of the deletion table's edge
-    ops = homology._relative(boundary_matrices(ws5.complex),
-                             homology._cone(ws5.complex.graph, common))
-    assert sum(len(level) for level in ops.faces) == 216
+    cone = assert_cone_is_a_greedy_clique(ws5.complex.graph, common)
+    # 52 of ws(5)'s faces lie outside the stars of the deletion table's clique
+    assert relative_face_count(ws5.complex, cone) == 52
 
 
 def test_cleared_homology_on_paper_complexes(ss4, ws4, ss5, ws5):
@@ -646,8 +671,8 @@ def test_cleared_homology_on_paper_complexes(ss4, ws4, ss5, ws5):
 
 def assert_only_uncleared_columns_reach_the_elimination(cx):
     """`reduced_homology` reduces the chain complex relative to the closed
-    neighbourhoods N[u], N[w] of `_cone`: its d-faces are exactly those
-    inside neither, and b_0 has a row only when the cone is empty. Then
+    neighbourhoods of `_cone`'s clique: its d-faces are exactly those inside
+    none of them, and b_0 has a row only when the cone is empty. Then
     `_rank_and_factors` receives exactly the uncleared ones of those columns,
     f_d - rank(b_{d+1}) of them, in face order for each d, top down, and
     pivots on the rows it pivots on when the cleared columns are passed in
@@ -743,16 +768,16 @@ def test_induced_homologies_keep_torsion_and_trim_dimensions():
 
 
 def test_induced_homologies_share_a_cone_inside_every_mask():
-    """On sd(RP^2), a clique complex, the views share the stars of one edge
-    when the masks meet in one, and take the augmented complex when they
-    meet in nothing; a view inside the stars keeps its trailing groups."""
+    """On sd(RP^2), a clique complex, the views share the stars of one
+    triangle when the masks meet in one, and take the augmented complex when
+    they meet in nothing; a view inside the stars keeps its trailing groups."""
     cx = barycentric_subdivision(PROJECTIVE_PLANE)
     vm = cx.vertex_mask
-    nu, nw = homology._cone(cx.graph, vm)
-    stars = nu | nw
+    stars = functools.reduce(operator.or_, homology._cone(cx.graph, vm))
     rim = [1 << v for v in range(len(cx.labels)) if not stars >> v & 1]
     meeting = [vm, stars, vm & ~rim[0], vm & ~(rim[1] | rim[-1]), stars | rim[2], 0]
-    assert len(homology._cone(cx.graph, functools.reduce(operator.and_, meeting[:-1]))) == 2
+    common = functools.reduce(operator.and_, meeting[:-1])
+    assert len(cone_clique(cx.graph, common, homology._cone(cx.graph, common))) == 3
     groups = assert_induced_matches_oracle(cx, meeting)
     assert [str(g) for g in groups[0]] == ["0", "Z/2", "0"]
     assert [str(g) for g in groups[1]] == ["0", "0", "0"]

@@ -401,9 +401,9 @@ def test_covering_checks_walk_the_faces_once(ws5, monkeypatch):
     calls = []
     real = Complex.face_levels
 
-    def counted(cx):
+    def counted(cx, avoid=()):
         calls.append(cx)
-        return real(cx)
+        return real(cx, avoid)
 
     monkeypatch.setattr(Complex, "face_levels", counted)
     assert all_pass(covering_checks(ws5))
