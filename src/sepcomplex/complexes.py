@@ -6,9 +6,11 @@ induced, intersection) preserve vertex indices. Complexes built from a graph
 carry the adjacency masks along; induced-type operations keep that structure,
 which speeds up face enumeration and membership tests.
 
-Every face enumeration reads the one walker Complex.face_levels: a clique
-walk with a graph, facet subsets without, either of them kept to the faces
-outside given vertex masks when asked. The collapse enumerates no faces.
+Every face enumeration reads the one walker Complex.face_tree, a clique
+walk with a graph, facet subsets without, which also gives each face's
+parent (the face less its top vertex) one level down; Complex.face_levels
+lists its faces, or walks a clique complex on its own when kept to the
+faces outside given vertex masks. The collapse enumerates no faces.
 """
 from __future__ import annotations
 
@@ -195,17 +197,7 @@ class Complex:
         mask the face has not left, since every face below it does too.
         """
         g = self.graph
-        if g is None:
-            # 1 << v grows with v, so bit tuples sort like vertex tuples
-            bits = [tuple(1 << v for v in _mask_to_tuple(f)) for f in self.facets]
-            for k in range(1, self.dimension() + 2):
-                found: set[tuple[int, ...]] = set()
-                for b in bits:
-                    found.update(combinations(b, k))
-                level = [sum(c) for c in sorted(found)]
-                yield [m for m in level if all(m & ~a for a in avoid)] if avoid else level
-            return
-        if avoid:  # a loop of its own: the full walk below carries no bitset
+        if g is not None and avoid:  # a loop of its own: face_tree's carries no bitset
             full = (1 << len(avoid)) - 1
             leaves = [sum(1 << i for i, a in enumerate(avoid) if not a >> v & 1)
                       for v in range(len(g))]  # leaves[v]: the masks without v
@@ -233,20 +225,51 @@ class Complex:
                 yield kept
                 nodes = next_nodes
             return
+        for faces, _, _ in self.face_tree():
+            yield [m for m in faces if all(m & ~a for a in avoid)] if avoid else faces
+
+    def face_tree(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
+        """The levels of face_levels() with the walk's tree: per dimension,
+        (faces, parents, tops), where face i is the face parents[i] of the
+        level below (the empty face below the vertices) plus its top vertex
+        tops[i]. The clique walk records both as it goes; a facet-only
+        complex looks the parent up in the level below. The lists are the
+        walker's own: read them, do not modify them."""
+        g = self.graph
+        if g is None:
+            # 1 << v grows with v, so bit tuples sort like vertex tuples
+            bits = [tuple(1 << v for v in _mask_to_tuple(f)) for f in self.facets]
+            index = {0: 0}  # the level below, face to position
+            for k in range(1, self.dimension() + 2):
+                found: set[tuple[int, ...]] = set()
+                for b in bits:
+                    found.update(combinations(b, k))
+                faces = [sum(c) for c in sorted(found)]
+                tops = [m.bit_length() - 1 for m in faces]
+                yield faces, [index[m ^ 1 << t] for m, t in zip(faces, tops)], tops
+                index = {m: i for i, m in enumerate(faces)}
+            return
         faces, cands = [0], [self.vertex_mask]
+        ids: list[int] = []  # one int object per position, shared by every level's parents
         while True:
             next_faces: list[int] = []
             next_cands: list[int] = []
-            for m, cand in zip(faces, cands):
+            parents: list[int] = []
+            tops: list[int] = []
+            ids.extend(range(len(ids), len(faces)))
+            for i, m, cand in zip(ids, faces, cands):
                 rest = cand
                 while rest:
                     low = rest & -rest
                     rest ^= low
+                    v = low.bit_length() - 1
                     next_faces.append(m | low)
-                    next_cands.append(rest & g[low.bit_length() - 1])
+                    next_cands.append(rest & g[v])
+                    parents.append(i)
+                    tops.append(v)
             if not next_faces:
                 return
-            yield next_faces
+            yield next_faces, parents, tops
             faces, cands = next_faces, next_cands
 
     def iter_face_masks(self) -> Iterator[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import and_
 from typing import Callable, Iterable
 
 from . import subsets
@@ -60,6 +61,7 @@ class SeparationComplex:
     masks: tuple[int, ...]  # subset mask per vertex, canonical order
     _index: dict = field(init=False, repr=False, compare=False)
     _images: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _tree: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.masks)})
@@ -100,15 +102,15 @@ class SeparationComplex:
         image may be empty. Defined on ss(n), n >= 4, and built on first use.
         Every check reads this one dict: read it, do not modify it. Three
         sweeps read it: verify.chain_violations, equivariance_violations and
-        carrier_violations. The first two rely on its order, by dimension,
-        which puts a face less one vertex one level before the face.
+        carrier_violations. The first two fold along the walk's tree,
+        retraction_tree, in the table's order.
 
-        Built at O(1) per face in the same order. The image of f depends on f
-        only through c(f), the pair vertices v whose closed neighbourhood
-        N[v] = g[v] | 1 << v holds f, kept as one bit per pair vertex. c(f)
-        is c(f less its lowest vertex v), one level down, ANDed with the pair
-        vertices of N[v], from c of the empty face, all of them; each
-        distinct c calls retraction_image_mask once, on its first face.
+        Built at O(1) per face by list indexing along Complex.face_tree. The
+        image of f depends on f only through c(f), the pair vertices v whose
+        closed neighbourhood N[v] = g[v] | 1 << v holds f, kept as one bit
+        per pair vertex. c(f) is c of f's parent, one level down, ANDed with
+        the pair vertices of N[top], from c of the empty face, all of them;
+        each distinct c calls retraction_image_mask once, on its first face.
 
         Kept in a dataclass field: functools.cached_property would write
         the instance __dict__, which makes every later attribute read on the
@@ -120,22 +122,29 @@ class SeparationComplex:
                 raise ValueError("the retraction is defined for n >= 4")
             g = self.complex.graph
             pair_vertices = self.antipodal_vertex_indices()
-            near = {1 << v: sum(1 << k for k, p in enumerate(pair_vertices)
-                                if (a | 1 << v) >> p & 1)
-                    for v, a in enumerate(g)}  # keyed by the vertex's bit
-            images, memo = {}, {}  # memo: the image per distinct c
-            below, here, size = {}, {0: (1 << len(pair_vertices)) - 1}, 0  # c, by dimension
-            for f in self.complex.iter_face_masks():
-                if f.bit_count() != size:
-                    below, here, size = here, {}, f.bit_count()
-                low = f & -f
-                c = here[f] = below[f ^ low] & near[low]
-                img = memo.get(c)
-                if img is None:
-                    img = memo[c] = retraction_image_mask(self, f)
-                images[f] = img
+            near = [sum(1 << k for k, p in enumerate(pair_vertices) if (a | 1 << v) >> p & 1)
+                    for v, a in enumerate(g)]
+            images, memo, tree = {}, {}, []  # memo: the image per distinct c
+            cs = [(1 << len(pair_vertices)) - 1]  # c per face of the level below
+            for faces, parents, tops in self.complex.face_tree():
+                cs = list(map(and_, map(cs.__getitem__, parents), map(near.__getitem__, tops)))
+                for f, c in zip(faces, cs):
+                    if c not in memo:
+                        memo[c] = retraction_image_mask(self, f)
+                images.update(zip(faces, map(memo.__getitem__, cs)))
+                tree.append((parents, tops))
+            object.__setattr__(self, "_tree", tuple(tree))
             object.__setattr__(self, "_images", images)
         return self._images
+
+    @property
+    def retraction_tree(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Per dimension, the (parents, tops) lists of Complex.face_tree for
+        the faces of retraction_images, level by level in its order: the
+        sweeps fold along them. Built with the table; read them, do not
+        modify them."""
+        _ = self.retraction_images  # builds the tree with the table
+        return self._tree
 
 
 def build(n: int, relation: str, cap: int = DEFAULT_ENUMERATION_CAP) -> SeparationComplex:

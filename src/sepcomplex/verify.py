@@ -12,15 +12,17 @@ sweeps every face, or every face of K(n) for identity-on-cross-polytope;
 none samples. The chain condition counts the faces that have a violating
 subface. The carrier-containment, retraction-equivariance and
 chain-condition sweeps cost O(1) per face, and all three count exactly
-what a face-by-face test would. The table lists the faces by dimension, so
-f less its lowest vertex comes one level before f: from that face the
-equivariance sweep builds f's permuted mask, and the chain sweep the union
-of the images of f's vertices, which is the union of its proper subfaces'
-images wherever each image lies inside its vertices' union, as on the
-paper's tables. Where one does not, the chain sweep carries the excess up
-from each face's facets, exactly, level by level. Carrier containment tests
-f | img against one mask per distinct image, the closed neighbourhoods of
-its vertices ANDed, which is exact because f is a clique. The covering
+what a face-by-face test would. The table lists the faces by dimension, and
+the walk that built it records each face's parent, f less its top vertex,
+by its index one level down (SeparationComplex.retraction_tree). Folding
+along that index, level by level into lists, the equivariance sweep builds
+f's permuted mask, and the chain sweep the union of the images of f's
+vertices, which is the union of its proper subfaces' images wherever each
+image lies inside its vertices' union, as on the paper's tables. Where one
+does not, the chain sweep carries the excess up from each face's facets,
+exactly, level by level. Carrier containment tests f | img against one
+mask per distinct image, the closed neighbourhoods of its vertices ANDed,
+which is exact because f is a clique. The covering
 checks work on vertex masks: the members of the deletion covering and of
 each star covering are full subcomplexes, so every intersection is the
 parent induced on the AND of their vertex masks. Every deletion row, the
@@ -39,7 +41,9 @@ import functools
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import islice
 from math import comb
+from operator import and_, countOf, ne, or_
 from typing import Callable, Iterable, Sequence
 
 from .complexes import (
@@ -223,52 +227,66 @@ def antipodal_checks(n: int) -> list[CheckResult]:
 # retraction checks
 # ---------------------------------------------------------------------------
 
-def chain_violations(images: dict[int, int], pairs: Sequence[tuple[int, int]]) -> int:
+def chain_violations(images: dict[int, int], pairs: Sequence[tuple[int, int]],
+                     tree: Sequence[tuple[list[int], list[int]]]) -> int:
     """Faces with a nonempty proper subface whose image, joined with the
     face's own, holds one of the complementary `pairs`; a violation on any
     chain already shows on such a pair. Exhaustive, at O(1) per face.
 
     Let U(f) be the union of the images of the nonempty proper subfaces of
-    f, and W(f) the union of the images of its vertices, folded by the
-    lowest vertex v: W(f) = W(f - v) | img(v). For |f| >= 2,
-    U(f) = W(f) | X(f), X(f) the OR of the excess img(s) & ~W(s) over the
-    proper subfaces s of f with |s| >= 2. So f violates iff img(f) holds a
-    pair, or the partners of img(f) meet W(f) | X(f), or a proper subface's
-    image holds a pair. The excess, on pair vertices, and a bit `held` for
-    an image that holds a pair are kept only where nonzero, and a face ORs
-    its facets' (one level down) only while that level has some; on the
-    paper's tables, where every image lies inside W, none has. `images` must
-    list the faces by dimension; SeparationComplex.retraction_images, which
-    the chain-condition rows pass, does.
+    f, and W(f) the union of the images of its vertices, folded along the
+    walk's tree: W(f) = W(parent) | img(top), the parent being f less its
+    top vertex. For |f| >= 2, U(f) = W(f) | X(f), X(f) the OR of the excess
+    img(s) & ~W(s) over the proper subfaces s of f with |s| >= 2. So f
+    violates iff img(f) holds a pair, or the partners of img(f) meet
+    W(f) | X(f), or a proper subface's image holds a pair. Each level is
+    built as lists off the level below and counted in one pass, unless an
+    image there leaves W or holds a pair, or the level below has some
+    excess: then the level is swept face by face, keeping the excess, on
+    pair vertices, and a bit `held` for an image that holds a pair, where
+    nonzero, each face ORing its facets' (looked up by face mask). On the
+    paper's tables, where every image lies inside W, no level is. `tree`
+    gives, per dimension, the parent index and top vertex of each face of
+    `images`, in its order; SeparationComplex.retraction_tree, which the
+    chain-condition rows pass with retraction_images, does.
     """
     pair_bits = sum(1 << i | 1 << j for i, j in pairs)
     held = 1 << pair_bits.bit_length()
-    partners: dict[int, int] = {}
-    below, here, size = {}, {0: 0}, 0  # W per face, by dimension
-    extra_below, extra = {}, {}  # excess and `held` per face where nonzero
+    partners = {img: sum((img >> i & 1) << j | (img >> j & 1) << i for i, j in pairs)
+                for img in set(images.values())}
+    holding = {img for img, partner in partners.items() if partner & img}
+    faces, values = iter(images), iter(images.values())
+    vertex_images: dict[int, int] = {}  # by vertex index
+    w = [0]  # W per face of the level below, from the empty face
+    extra_below: dict[int, int] = {}  # excess and `held` per face where nonzero
     violations = 0
-    for f, img in images.items():
-        if f.bit_count() != size:
-            below, here, size = here, {}, f.bit_count()
-            extra_below, extra = extra, {}
-        low = f & -f
-        w = here[f] = below[f ^ low] | images[low]
-        partner = partners.get(img)
-        if partner is None:
-            partner = partners[img] = sum(
-                (img >> i & 1) << j | (img >> j & 1) << i for i, j in pairs)
-        x = 0
-        if extra_below:
-            rest = f
-            while rest:
-                v = rest & -rest
-                rest ^= v
-                x |= extra_below.get(f ^ v, 0)
-        if (partner & (img | w | x) or x & held) and size > 1:
-            violations += 1
-        x |= img & ~w & pair_bits | (held if partner & img else 0)
-        if x:
-            extra[f] = x
+    for size, (parents, tops) in enumerate(tree, 1):
+        level, imgs = list(islice(faces, len(tops))), list(islice(values, len(tops)))
+        if size == 1:
+            vertex_images = dict(zip(tops, imgs))
+        w = list(map(or_, map(w.__getitem__, parents), map(vertex_images.__getitem__, tops)))
+        if not (extra_below or not holding.isdisjoint(imgs)
+                or any(map(ne, map(or_, imgs, w), w))):
+            if size > 1:
+                violations += len(imgs) - countOf(
+                    map(and_, map(partners.__getitem__, imgs), map(or_, imgs, w)), 0)
+            continue
+        extra = {}
+        for f, img, u in zip(level, imgs, w):
+            x = 0
+            if extra_below:
+                rest = f
+                while rest:
+                    v = rest & -rest
+                    rest ^= v
+                    x |= extra_below.get(f ^ v, 0)
+            partner = partners[img]
+            if (partner & (img | u | x) or x & held) and size > 1:
+                violations += 1
+            x |= img & ~u & pair_bits | (held if partner & img else 0)
+            if x:
+                extra[f] = x
+        extra_below = extra
     return violations
 
 
@@ -276,41 +294,45 @@ def carrier_violations(cx: Complex, images: dict[int, int]) -> int:
     """Faces f whose union with their image is not a face of the clique
     complex `cx`. Exact: f is a face, hence a clique, so f | img is a face iff
     it lies in the vertices of `cx` and in the closed neighbourhood
-    g[v] | 1 << v of every v in img, one mask per distinct image. `images`
-    must be keyed by faces of `cx`; SeparationComplex.retraction_images,
-    which the carrier-containment row passes, is.
+    g[v] | 1 << v of every v in img, one mask per distinct image, and the
+    table is counted against those masks in one pass. `images` must be keyed
+    by faces of `cx`; SeparationComplex.retraction_images, which the
+    carrier-containment row passes, is.
     """
     g = cx.graph
-    common = {}
+    outside = {}
     for img in set(images.values()):
         c = cx.vertex_mask
         for v in _mask_to_tuple(img):
             c &= g[v] | 1 << v
-        common[img] = c
-    return sum(1 for f, img in images.items() if (f | img) & ~common[img])
+        outside[img] = ~c
+    values = images.values()
+    return len(images) - countOf(
+        map(and_, map(or_, images, values), map(outside.__getitem__, values)), 0)
 
 
-def equivariance_violations(images: dict[int, int], perms: Sequence[Sequence[int]]) -> int:
+def equivariance_violations(images: dict[int, int], perms: Sequence[Sequence[int]],
+                            tree: Sequence[tuple[list[int], list[int]]]) -> int:
     """Pairs (perm, face f) with images[perm(f)] != perm(images[f]), one per
-    mismatch. Exact: perm(f) is perm(f - v) | perm(v) for the lowest vertex v
-    of f, and f - v, a face one dimension down, was permuted on the previous
-    level; each distinct image is permuted once. `images` must list every
-    face, by dimension; SeparationComplex.retraction_images, which the
-    retraction-equivariance row passes, does.
+    mismatch; a face that perm sends to a non-face is one. Exact: perm(f) is
+    perm(parent) | perm(top) along the walk's tree, the parent, f less its
+    top vertex, permuted one level before; each level is built as a list and
+    compared in one pass, and each distinct image is permuted once. `tree`
+    gives, per dimension, the parent index and top vertex of every face of
+    `images`, in its order; SeparationComplex.retraction_tree, which the
+    retraction-equivariance row passes with retraction_images, does.
     """
     distinct = set(images.values())
     bad = 0
     for perm in perms:
-        bits = {1 << v: 1 << w for v, w in enumerate(perm)}
+        bits = [1 << w for w in perm]
         permuted = {img: _permute_mask(img, perm) for img in distinct}
-        below, here, size = {}, {0: 0}, 0  # the permuted face, by dimension
-        for f, img in images.items():
-            if f.bit_count() != size:
-                below, here, size = here, {}, f.bit_count()
-            low = f & -f
-            pf = here[f] = below[f ^ low] | bits[low]
-            if images[pf] != permuted[img]:
-                bad += 1
+        values = iter(images.values())
+        pf = [0]  # the permuted face per face of the level below
+        for parents, tops in tree:
+            pf = list(map(or_, map(pf.__getitem__, parents), map(bits.__getitem__, tops)))
+            imgs = islice(values, len(pf))
+            bad += countOf(map(ne, map(images.get, pf), map(permuted.__getitem__, imgs)), True)
     return bad
 
 
@@ -325,11 +347,11 @@ def retraction_checks(sc: SeparationComplex) -> list[CheckResult]:
     the faces of K(n), the others over every face."""
     images = sc.retraction_images
     kmask = sum(1 << i for i in sc.antipodal_vertex_indices())
-    empty = sum(1 for img in images.values() if img == 0)
+    empty = countOf(images.values(), 0)
     not_fixed = sum(1 for f in sc.complex.induced_mask(kmask).iter_face_masks()
                     if images[f] != f)
     outside = carrier_violations(sc.complex, images)
-    chain = chain_violations(images, sc.singleton_pair_indices())
+    chain = chain_violations(images, sc.singleton_pair_indices(), sc.retraction_tree)
     return [
         _violations_row("image-nonempty", sc, empty),
         _violations_row("chain-condition", sc, chain),
@@ -359,7 +381,7 @@ def equivariance_checks(sc: SeparationComplex) -> list[CheckResult]:
     out.append(_row(f"symmetries-preserve-cross-polytope {scope}", scope, True,
                     antipodal_preserved))
     if sc.relation == "ss":
-        bad = equivariance_violations(sc.retraction_images, perms)
+        bad = equivariance_violations(sc.retraction_images, perms, sc.retraction_tree)
         out.append(_violations_row("retraction-equivariance", sc, bad))
     return out
 
@@ -609,12 +631,13 @@ CHECKS = (
     Check("lemma-4-4", ("ss",), _PAPER_SIZES,
           lambda get, n, rel: [_violations_row(
               "image-nonempty", sc := get(n, rel),
-              sum(1 for img in sc.retraction_images.values() if img == 0))],
+              countOf(sc.retraction_images.values(), 0))],
           walks=("ss",)),
     Check("chain-condition", ("ss",), _PAPER_SIZES,
           lambda get, n, rel: [_violations_row(
               "chain-condition", sc := get(n, rel),
-              chain_violations(sc.retraction_images, sc.singleton_pair_indices()))],
+              chain_violations(sc.retraction_images, sc.singleton_pair_indices(),
+                               sc.retraction_tree))],
           walks=("ss",)),
     Check("equivariance", ("ss", "ws"), _PAPER_SIZES,
           lambda get, n, rel: equivariance_checks(get(n, rel)),

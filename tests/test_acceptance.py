@@ -159,7 +159,8 @@ def test_criterion_10_retraction_wellformedness(ss4, ss5):
     for sc in (ss4, ss5):
         images = sc.retraction_images
         ok = ok and all(images.values())
-        ok = ok and chain_violations(images, sc.singleton_pair_indices()) == 0
+        ok = ok and chain_violations(images, sc.singleton_pair_indices(),
+                                     sc.retraction_tree) == 0
     record(10, "image nonempty on every face and chain-safe on every comparable pair "
                "(n=4,5)", ok)
 

@@ -1,6 +1,7 @@
-"""The face walker against brute force, the walk outside vertex masks
-against the filtered full walk, and boundary assembly against a
-tuple-slicing reference kept here in the test."""
+"""The face walker against brute force, its tree of parents and tops
+against the faces it lists, the walk outside vertex masks against the
+filtered full walk, and boundary assembly against a tuple-slicing reference
+kept here in the test."""
 from itertools import combinations
 
 import pytest
@@ -125,6 +126,24 @@ def test_walk_outside_masks_filters_the_full_walk(cx, avoid):
     assert len(levels) <= len(full)
     assert levels + [[]] * (len(full) - len(levels)) == \
         [[f for f in level if all(f & ~a for a in avoid)] for level in full]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs().map(lambda g: clique_complex([str(i) for i in range(g[0])], g[1])),
+                 facet_lists().map(lambda f: Complex([str(i) for i in range(f[0])], f[1]))))
+def test_face_tree_records_each_faces_parent_and_top(cx):
+    """face_tree's faces are face_levels(), level by level and in order, and
+    face i of a level is face parents[i] of the level below plus the top
+    vertex tops[i]; below the vertices lies the empty face."""
+    tree = list(cx.face_tree())
+    assert [faces for faces, _, _ in tree] == list(cx.face_levels())
+    below = [0]
+    for faces, parents, tops in tree:
+        assert len(parents) == len(tops) == len(faces)
+        for f, parent, top in zip(faces, parents, tops):
+            assert top == f.bit_length() - 1
+            assert below[parent] == f ^ 1 << top
+        below = faces
 
 
 @pytest.mark.parametrize("name", ["ss4", "ws5", "ss6", "boundary ws5", "facet-only ws5"])

@@ -149,7 +149,8 @@ def test_chain_violations_match_brute_force(ss4, ss5, data):
     sc = data.draw(st.sampled_from([ss4, ss5]))
     images = _injected_images(sc, data, zero=data.draw(st.booleans()))
     pairs = sc.singleton_pair_indices()
-    assert chain_violations(images, pairs) == brute_chain_violations(images, pairs)
+    assert chain_violations(images, pairs, sc.retraction_tree) == \
+        brute_chain_violations(images, pairs)
 
 
 def test_chain_violations_see_subfaces_two_dimensions_down(ss4, ss5):
@@ -160,23 +161,42 @@ def test_chain_violations_see_subfaces_two_dimensions_down(ss4, ss5):
         pairs = sc.singleton_pair_indices()
         i, j = pairs[0]
         images[face], images[vertex] = 1 << i, 1 << j
-        assert chain_violations(images, pairs) == 1
+        assert chain_violations(images, pairs, sc.retraction_tree) == 1
         assert brute_chain_violations(images, pairs) == 1
 
 
 def test_chain_violations_see_excess_two_levels_below(ss5):
     # an edge's image leaves its vertices' (empty) images, the triangles
     # above it keep empty images, and a tetrahedron on the edge holds the
-    # partner: only the tetrahedron violates
-    images = dict.fromkeys(ss5.retraction_images, 0)
-    tetra = next(f for f in images if f.bit_count() == 4)
-    rest = tetra & tetra - 1
-    edge = tetra & -tetra | rest & -rest  # its two lowest vertices
+    # partner: only the tetrahedron violates. The fold drops each face's top
+    # vertex, so the edge sits on the tetrahedron's two lowest vertices, on
+    # its two highest (off the chain of parents) and on a middle pair
+    tetra = next(f for f in ss5.retraction_images if f.bit_count() == 4)
+    vertices = _mask_to_tuple(tetra)
     pairs = ss5.singleton_pair_indices()
     i, j = pairs[0]
-    images[edge], images[tetra] = 1 << i, 1 << j
-    assert chain_violations(images, pairs) == 1
-    assert brute_chain_violations(images, pairs) == 1
+    for ends in ((0, 1), (2, 3), (1, 2)):
+        images = dict.fromkeys(ss5.retraction_images, 0)
+        edge = sum(1 << vertices[k] for k in ends)
+        images[edge], images[tetra] = 1 << i, 1 << j
+        assert chain_violations(images, pairs, ss5.retraction_tree) == 1
+        assert brute_chain_violations(images, pairs) == 1
+
+
+def test_chain_violations_see_a_subface_holding_a_pair(ss5):
+    # one face's image holds a complementary pair and every other image is
+    # empty: each face above it violates, however empty its own image, and
+    # so does the face itself unless it is a vertex. A vertex's image is
+    # inside its vertices' union, so only the held pair shows it
+    pairs = ss5.singleton_pair_indices()
+    i, j = pairs[0]
+    for size in (1, 2):
+        images = dict.fromkeys(ss5.retraction_images, 0)
+        face = next(f for f in images if f.bit_count() == size)
+        images[face] = 1 << i | 1 << j
+        want = sum(1 for f in images if f & face == face and f != face) + (size > 1)
+        assert chain_violations(images, pairs, ss5.retraction_tree) == want
+        assert brute_chain_violations(images, pairs) == want
 
 
 def test_every_image_lies_in_its_vertices_images(ss4, ss5, ss6):
@@ -322,9 +342,38 @@ def test_equivariance_violations_match_brute_force(ss4, ss5, data):
     sc = data.draw(st.sampled_from([ss4, ss5]))
     images = _injected_images(sc, data)
     perms = [sc.vertex_permutation(g) for g in GENERATORS]
-    assert equivariance_violations(images, perms) == sum(
-        1 for perm in perms for f, img in images.items()
-        if images[_permuted(f, perm)] != _permuted(img, perm))
+    assert equivariance_violations(images, perms, sc.retraction_tree) == \
+        brute_equivariance_violations(images, perms)
+
+
+def brute_equivariance_violations(images, perms):
+    """Pairs (perm, face) whose permuted face's image, None off the table,
+    is not the permuted image: every face swept per permutation."""
+    return sum(1 for perm in perms for f, img in images.items()
+               if images.get(_permuted(f, perm)) != _permuted(img, perm))
+
+
+def _swap_first_two(sc):
+    """The vertex permutation swapping vertices 0 and 1, a non-symmetry."""
+    return (1, 0, *range(2, len(sc.complex.labels)))
+
+
+def test_equivariance_counts_a_face_sent_off_the_complex(ss4, monkeypatch):
+    # swapping vertices 0 and 1 of ss(4) sends some face to a non-face: each
+    # such face counts as a violation, as in the oracle, and raises nothing
+    perm = _swap_first_two(ss4)
+    images = ss4.retraction_images
+    off = [f for f in images if _permuted(f, perm) not in images]
+    assert off
+    bad = equivariance_violations(images, [perm], ss4.retraction_tree)
+    assert bad == brute_equivariance_violations(images, [perm]) >= len(off)
+    # the row, with the complex's generators replaced by the swap, reads FAIL
+    fresh = build(4, "ss")
+    monkeypatch.setattr(type(fresh), "vertex_permutation", lambda sc, g: _swap_first_two(sc))
+    rows = {r.check: r for r in equivariance_checks(fresh)}
+    assert rows["symmetries-preserve-facets ss(4)"].status == "FAIL"
+    row = rows["retraction-equivariance ss(4)"]
+    assert (row.status, row.computed) == ("FAIL", str(2 * bad))
 
 
 def test_retraction_and_equivariance_rows_make_no_face_query(monkeypatch):
@@ -339,6 +388,30 @@ def test_retraction_and_equivariance_rows_make_no_face_query(monkeypatch):
     monkeypatch.setattr(Complex, "has_face_mask", counted)
     assert all_pass(retraction_checks(sc) + equivariance_checks(sc))
     assert not calls
+
+
+def test_retraction_and_equivariance_checks_walk_the_faces_once(monkeypatch):
+    # the table, its tree and every sweep come off one walk of ss(5); the
+    # identity-on-cross-polytope row walks K(5), the complex induced on the
+    # pair vertices, on its own
+    calls = []
+    real_tree, real_levels = Complex.face_tree, Complex.face_levels
+
+    def counted_tree(cx):
+        calls.append(("tree", cx))
+        return real_tree(cx)
+
+    def counted_levels(cx, avoid=()):
+        calls.append(("levels", cx))
+        return real_levels(cx, avoid)
+
+    sc = build(5, "ss")
+    monkeypatch.setattr(Complex, "face_tree", counted_tree)
+    monkeypatch.setattr(Complex, "face_levels", counted_levels)
+    assert all_pass(retraction_checks(sc) + equivariance_checks(sc))
+    assert [kind for kind, cx in calls if cx == sc.complex] == ["tree"]
+    kmask = sum(1 << i for i in sc.antipodal_vertex_indices())
+    assert all(cx.vertex_mask == kmask for _, cx in calls if cx != sc.complex)
 
 
 def test_ws5_certificate_row(ws5):
