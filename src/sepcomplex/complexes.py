@@ -3,8 +3,10 @@
 Faces are encoded as bitmasks over vertex positions. A complex keeps the full
 vertex table of its parent, so subcomplex operations (star, link, deletion,
 induced, intersection) preserve vertex indices. Complexes built from a graph
-carry the adjacency masks along; induced-type operations keep that structure,
-which speeds up face enumeration and membership tests.
+carry the adjacency masks along, and each stays the clique complex of that
+graph on its vertex mask through the subcomplex operations, so face
+enumeration, membership tests and induced subcomplexes read the graph: an
+induced subcomplex's facets are the maximal cliques of the masked graph.
 
 Every face enumeration reads the one walker Complex.face_tree, a clique
 walk with a graph, facet subsets without, which also gives each face's
@@ -105,7 +107,13 @@ class Complex:
     `vertex_mask`, the union of the faces, and `graph`, the adjacency masks
     when this is a clique complex of a known graph, else None. The
     constructor rejects a facet index that is no integer in range or that
-    repeats within its facet."""
+    repeats within its facet.
+
+    A complex with a graph is the clique complex of that graph on its
+    vertex mask: its facets are the maximal cliques of the graph on those
+    vertices. `star_mask`, `link_mask`, `induced_mask`, `components` and
+    `intersection` (of two complexes on the same graph) keep it, and
+    `face_tree`, `has_face_mask` and `induced_mask` rely on it."""
 
     __slots__ = ("labels", "facets", "graph", "vertex_mask")
 
@@ -315,8 +323,13 @@ class Complex:
         return Complex._trusted(self.labels, kept, self.graph)
 
     def induced_mask(self, vm: int) -> "Complex":
-        """Subcomplex of faces supported on the vertex set vm."""
-        kept = _maximal(f & vm for f in self.facets)
+        """Subcomplex of faces supported on the vertex set vm. With a graph,
+        its facets are the maximal cliques of the graph on the complex's
+        vertices in vm; without, the largest traces of the facets on vm."""
+        if self.graph is None:
+            kept = _maximal(f & vm for f in self.facets)
+        else:
+            kept = tuple(sorted(_bron_kerbosch(self.graph, vm & self.vertex_mask)))
         return Complex._trusted(self.labels, kept, self.graph)
 
     def intersection(self, other: "Complex") -> "Complex":
@@ -481,14 +494,15 @@ def clique_complex(labels: Sequence[str], adjacency: Sequence[int]) -> Complex:
             rest ^= low
             if not adj[j] >> i & 1:
                 raise ValueError("adjacency must be symmetric")
-    facets = _bron_kerbosch(adj, n)
+    facets = _bron_kerbosch(adj, (1 << n) - 1)
     return Complex._trusted(tuple(labels), tuple(sorted(facets)), adj)
 
 
-def _bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
-    """Maximal cliques via pivoting; deterministic order."""
+def _bron_kerbosch(adj: Sequence[int], vm: int) -> list[int]:
+    """Maximal cliques of the graph `adj` on the vertex mask vm, via
+    pivoting (Bron-Kerbosch); deterministic order."""
     out: list[int] = []
-    if n == 0:
+    if vm == 0:
         return out
 
     def expand(r: int, p: int, x: int) -> None:
@@ -514,7 +528,7 @@ def _bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
             p &= ~low
             x |= low
 
-    expand(0, (1 << n) - 1, 0)
+    expand(0, vm, 0)
     return out
 
 

@@ -15,7 +15,11 @@ out (the relative complex of Kaczynski-Mrozek-Slusarek), and it has no
 augmentation row. `_cone` picks K, greedily and maximal: on ss(6) 32417 of
 the 187200 faces are left, on ws(6) 5360 of 410399. A complex without a
 graph takes the empty cone, A empty, which is the augmented complex on the
-same code path.
+same code path. The lemma needs X to be the clique complex of its graph on
+its vertex mask, which every `Complex` with a graph is, the full
+subcomplexes of `Complex.induced_mask` among them: each deletion
+intersection of the covering checks is reduced here, relative to a cone of
+its own.
 
 Those faces are never listed with the rest: `Complex.face_levels(avoid)`
 walks only the branches of the clique walk that can still leave every
@@ -50,23 +54,6 @@ has determinant +-1. With b_d b_{d+1} = 0, an omitted column is then an
 integer combination of the kept ones; the column lattice of b_d, and with it
 its rank and invariant factors, is unchanged. Pivots of the last phase need
 not be units and never clear a column.
-
-`induced_homologies` gives the homology of many full subcomplexes of one
-complex, as the deletion covering asks for, from one walk. It picks one
-cone, a clique inside every vertex mask that meets the complex: for a full
-subcomplex X[vm] holding K, A & X[vm] is the union of the full subcomplexes
-on the N[v_i] & vm, again cones meeting in cones, so one relative complex of
-the parent serves every view, and each view's faces are the parent's
-relative faces inside its mask. A cone chosen per view would need a
-relative complex per view, and took the 64 ws(5) deletion intersections to
-0.016 s against 0.007 s shared with an edge as the cone (one shared 2-vCPU
-host, CPython 3.11). Each mask is reduced through an induced view of the
-parent's relative operators: its rows and columns keep the parent's
-numbering, and each parent column is built once for all the views. The view
-hands out copies of those columns, since the peel clears its columns in
-place; `reduced_homology` builds each column for one elimination only, so
-it reduces them where they are built and copies nothing. Both run the one
-top-down clearing loop, `_reduce`.
 """
 from __future__ import annotations
 
@@ -75,9 +62,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
-from operator import and_
 
 from .complexes import Complex, _mask_to_tuple
 
@@ -394,29 +379,18 @@ def reduced_homology(x: Complex) -> list[HomologyGroup]:
     (clearing), which leaves every rank and invariant factor as it is. Each
     b_d is built just before it is reduced, without its cleared columns.
     """
-    return _reduce(_relative(boundary_matrices(x), _cone(x.graph, x.vertex_mask)))
-
-
-def induced_homologies(x: Complex, vmasks: Iterable[int]) -> list[list[HomologyGroup]]:
-    """`reduced_homology(x.induced_mask(m))` for each vertex mask m, in order,
-    from one walk of x's faces outside the cone. One cone, a greedy clique
-    chosen inside the AND of the masks that meet x, is shared: each such
-    mask holds the clique, so the clique lemma holds in every full
-    subcomplex, x's chain complex relative to the cone is built once, and
-    each full subcomplex is reduced through an `_InducedOperators` view of
-    it, which builds each column once for all the views."""
-    vmasks = list(vmasks)
-    vm = x.vertex_mask
-    common = reduce(and_, [m & vm for m in vmasks if m & vm], vm)
-    ops = _relative(boundary_matrices(x), _cone(x.graph, common))
-    built: list[list[dict[int, int]] | None] = [None] * len(ops)
-    out = []
-    for m in vmasks:
-        # the groups run to the top dimension of the full subcomplex on m,
-        # even where every face of it lies in the cone
-        top = max([(f & m).bit_count() for f in x.facets], default=0)
-        out.append(_reduce(_InducedOperators(ops, built, m, top)))
-    return out
+    ops = _relative(boundary_matrices(x), _cone(x.graph, x.vertex_mask))
+    top = len(ops)
+    ranks = [0] * (top + 1)
+    torsions: list[tuple[int, ...]] = [()] * (top + 1)
+    cleared: frozenset[int] = frozenset()
+    for d in reversed(range(top)):
+        factors, pivot_rows = _rank_and_factors(ops.nrows(d), ops.columns(d, cleared))
+        ranks[d] = len(factors)
+        torsions[d] = tuple(t for t in factors if t > 1)
+        cleared = frozenset(pivot_rows)
+    return [HomologyGroup(len(faces) - ranks[d] - ranks[d + 1], torsions[d + 1])
+            for d, faces in enumerate(ops.faces)]
 
 
 def _cone(graph: Sequence[int] | None, vm: int) -> tuple[int, ...]:
@@ -429,9 +403,7 @@ def _cone(graph: Sequence[int] | None, vm: int) -> tuple[int, ...]:
     The union of the full subcomplexes on these masks is contractible: any
     intersection of some of them is the full subcomplex on the common part
     of their masks, a cone on each clique vertex whose mask it was taken
-    over, so their nerve is a full simplex (the nerve theorem, Bjorner). The
-    same holds in the full subcomplex on any mask holding vm, with each
-    mask cut down to it, since the clique lies inside vm.
+    over, so their nerve is a full simplex (the nerve theorem, Bjorner).
     """
     if graph is None or not vm:
         return ()
@@ -451,55 +423,6 @@ def _relative(ops: BoundaryOperators, cone: tuple[int, ...]) -> BoundaryOperator
     augmentation row unless the cone is empty. Its faces are walked on first
     use, and only those outside the masks are visited."""
     return BoundaryOperators(ops.complex, cone)
-
-
-class _InducedOperators:
-    """The boundary operators of the full subcomplex on the vertex mask `vm`
-    of a parent, read off the parent's operators `ops`, and with `top`
-    dimensions. faces[d] lists the parent indices of the d-faces of ops
-    inside vm; rows and columns keep the parent's numbering, so the rows of
-    the other faces stay empty. The parent's columns of b_d are built into
-    `built[d]` when a view first asks for them, and shared by every view over
-    the same `built`; each view gets copies, as the elimination clears them.
-    """
-
-    __slots__ = ("faces", "_ops", "_built")
-
-    def __init__(self, ops: BoundaryOperators, built: list[list[dict[int, int]] | None],
-                 vm: int, top: int):
-        self.faces = [[j for j, f in enumerate(level) if not f & ~vm]
-                      for level in ops.faces[:top]]
-        self._ops = ops
-        self._built = built
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-    def nrows(self, d: int) -> int:
-        return self._ops.nrows(d)
-
-    def columns(self, d: int, skip: frozenset[int] = frozenset()) -> list[dict[int, int]]:
-        cols = self._built[d]
-        if cols is None:
-            cols = self._built[d] = self._ops.columns(d)
-        return [dict(cols[j]) for j in self.faces[d] if j not in skip]
-
-
-def _reduce(ops: BoundaryOperators | _InducedOperators) -> list[HomologyGroup]:
-    """The homology of the chain complex `ops`, reduced when it is augmented:
-    its operators reduced from the top dimension down, each b_d without the
-    columns that the unit pivots of b_{d+1} clear."""
-    top = len(ops)
-    ranks = [0] * (top + 1)
-    torsions: list[tuple[int, ...]] = [()] * (top + 1)
-    cleared: frozenset[int] = frozenset()
-    for d in reversed(range(top)):
-        factors, pivot_rows = _rank_and_factors(ops.nrows(d), ops.columns(d, cleared))
-        ranks[d] = len(factors)
-        torsions[d] = tuple(t for t in factors if t > 1)
-        cleared = frozenset(pivot_rows)
-    return [HomologyGroup(len(faces) - ranks[d] - ranks[d + 1], torsions[d + 1])
-            for d, faces in enumerate(ops.faces)]
 
 
 def betti_rational(x: Complex) -> list[int]:

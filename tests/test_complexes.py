@@ -503,6 +503,29 @@ def test_star_link_and_deletion_identities(cx, data):
     assert cx.link_mask(a) == cx.star_mask(a).intersection(cx.deletion_mask(a))
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_clique_complexes(), st.data())
+def test_induced_mask_reads_the_facets_off_the_graph(cx, data):
+    """A complex with a graph is the clique complex of that graph on its
+    vertex mask, on every path that makes one: so the maximal cliques of the
+    masked graph, which induced_mask returns, are the largest traces of its
+    facets on the mask, and the graph is handed on. Masks reach past the
+    vertex table, and negative ones are complements, as deletion_mask
+    passes them."""
+    bound = 1 << len(cx.labels) + 2
+    masks = data.draw(st.lists(st.integers(-bound, bound - 1), max_size=4), label="masks")
+    made = [cx, *cx.components(), *(cx.deletion_mask(m) for m in masks)]
+    if cx.facets:
+        a, b = draw_face(data, cx), draw_face(data, cx)
+        made += [cx.star_mask(a), cx.link_mask(a), cx.star_mask(a).intersection(cx.star_mask(b))]
+    for x in made:
+        assert x.graph is cx.graph
+        for vm in (0, -1, x.vertex_mask, *masks):
+            induced = x.induced_mask(vm)
+            assert induced.facets == _maximal(f & vm for f in x.facets)
+            assert induced.graph is cx.graph
+
+
 def test_greedy_collapse_paper_values(ws4, ws5):
     assert ws4.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 8)
     assert ws5.complex.greedy_collapse() == CollapseOutcome("collapsed-to-point", 23)

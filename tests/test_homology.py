@@ -1,7 +1,7 @@
 """Integer homology: Smith form against a textbook oracle, known spaces,
 the rational-rank cross-check, the free-face peel, cleared against uncleared
 reduction, the columns clearing and the cone of a clique keep out of the
-elimination, and full subcomplexes reduced off their parent's operators."""
+elimination, and full subcomplexes, each reduced relative to its own cone."""
 import functools
 import operator
 import random
@@ -28,7 +28,6 @@ from sepcomplex.homology import (
     boundary_matrices,
     format_homology,
     homology_summary,
-    induced_homologies,
     reduced_homology,
     smith_normal_form,
 )
@@ -656,10 +655,6 @@ def test_cone_is_a_greedy_clique_on_the_paper_complexes(ss4, ws4, ss5, ws5):
     for sc, kept in ((ss4, 9), (ws4, 2), (ss5, 263), (ws5, 80)):
         cone = assert_cone_is_a_greedy_clique(sc.complex.graph, sc.complex.vertex_mask)
         assert relative_face_count(sc.complex, cone) == kept
-    common = functools.reduce(operator.and_, (m for m in _deletion_masks(ws5).values() if m))
-    cone = assert_cone_is_a_greedy_clique(ws5.complex.graph, common)
-    # 52 of ws(5)'s faces lie outside the stars of the deletion table's clique
-    assert relative_face_count(ws5.complex, cone) == 52
 
 
 def test_cleared_homology_on_paper_complexes(ss4, ws4, ss5, ws5):
@@ -724,64 +719,58 @@ def test_only_uncleared_columns_reach_the_elimination(cx):
     assert_only_uncleared_columns_reach_the_elimination(cx)
 
 
-# --- full subcomplexes off the parent's operators ------------------------------------
-
-def assert_induced_matches_one_by_one(cx, vmasks):
-    groups = induced_homologies(cx, vmasks)
-    assert groups == [reduced_homology(cx.induced_mask(m)) for m in vmasks]
-    return groups
-
+# --- full subcomplexes, each relative to its own cone ---------------------------------
 
 def assert_induced_matches_oracle(cx, vmasks):
-    """As above, against the uncleared SNF of each full subcomplex, which
-    never sees a cone."""
-    groups = assert_induced_matches_one_by_one(cx, vmasks)
-    assert groups == [uncleared_groups(cx.induced_mask(m)) for m in vmasks]
+    """`reduced_homology` of the full subcomplex of cx on each vertex mask,
+    reduced relative to its own cone, against the uncleared SNF of the same
+    subcomplex, which never sees a cone."""
+    induced = [cx.induced_mask(m) for m in vmasks]
+    groups = [reduced_homology(x) for x in induced]
+    assert groups == [uncleared_groups(x) for x in induced]
     return groups
+
+
+# PROJECTIVE_PLANE beside a hollow triangle on three new vertices: torsion
+# in one full subcomplex, and fewer dimensions in another
+PLANE_AND_CIRCLE = Complex([str(k) for k in range(9)],
+                           PROJECTIVE_PLANE.facet_tuples() + [(6, 7), (7, 8), (6, 8)])
+SD_PLANE = barycentric_subdivision(PROJECTIVE_PLANE)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(random_clique_complexes(), random_facet_complexes()), st.data())
-def test_induced_homologies_match_reduced_homology_of_each_induced_complex(cx, data):
-    # bits up to 12 reach past the at most 9 vertices of a drawn complex
-    drawn = data.draw(st.lists(st.integers(0, (1 << 12) - 1), max_size=8))
-    vmasks = [0, cx.vertex_mask, *drawn, cx.vertex_mask | 1 << 11]
-    assert_induced_matches_one_by_one(cx, vmasks)
+@given(st.one_of(random_clique_complexes(), random_facet_complexes(),
+                 st.sampled_from([PLANE_AND_CIRCLE, SD_PLANE])), st.data())
+def test_induced_homology_matches_the_uncleared_oracle(cx, data):
+    # masks reach three bits past the vertex table, and negative ones are
+    # complements, as deletion_mask passes them
+    bound = 1 << len(cx.labels) + 3
+    drawn = data.draw(st.lists(st.integers(-bound, bound - 1), max_size=6))
+    assert_induced_matches_oracle(cx, [0, -1, cx.vertex_mask, *drawn])
 
 
-def test_induced_homologies_on_the_deletion_tables(ws4, ws5):
+def test_induced_homology_on_the_deletion_tables(ws4, ws5):
     for sc in (ws4, ws5):
-        vmasks = list(_deletion_masks(sc).values())
-        groups = assert_induced_matches_one_by_one(sc.complex, vmasks)
+        groups = assert_induced_matches_oracle(sc.complex, _deletion_masks(sc).values())
         assert len(groups) == 1 << 2 * (sc.n - 2)
         assert all(g.is_trivial for gs in groups for g in gs)
 
 
-def test_induced_homologies_keep_torsion_and_trim_dimensions():
-    # PROJECTIVE_PLANE beside a hollow triangle on three new vertices
-    cx = Complex([str(k) for k in range(9)],
-                 PROJECTIVE_PLANE.facet_tuples() + [(6, 7), (7, 8), (6, 8)])
+def test_induced_homology_keeps_torsion_and_trims_dimensions():
     plane, circle = (1 << 6) - 1, 0b111 << 6
-    groups = assert_induced_matches_one_by_one(cx, [plane, circle, plane | circle, 1 << 6, 0])
+    groups = assert_induced_matches_oracle(
+        PLANE_AND_CIRCLE, [plane, circle, plane | circle, 1 << 6, 0, ~circle])
     assert [[str(g) for g in gs] for gs in groups] == [
-        ["0", "Z/2", "0"], ["0", "Z"], ["Z", "Z + Z/2", "0"], ["0"], []]
+        ["0", "Z/2", "0"], ["0", "Z"], ["Z", "Z + Z/2", "0"], ["0"], [], ["0", "Z/2", "0"]]
 
 
-def test_induced_homologies_share_a_cone_inside_every_mask():
-    """On sd(RP^2), a clique complex, the views share the stars of one
-    triangle when the masks meet in one, and take the augmented complex when
-    they meet in nothing; a view inside the stars keeps its trailing groups."""
-    cx = barycentric_subdivision(PROJECTIVE_PLANE)
-    vm = cx.vertex_mask
-    stars = functools.reduce(operator.or_, homology._cone(cx.graph, vm))
-    rim = [1 << v for v in range(len(cx.labels)) if not stars >> v & 1]
-    meeting = [vm, stars, vm & ~rim[0], vm & ~(rim[1] | rim[-1]), stars | rim[2], 0]
-    common = functools.reduce(operator.and_, meeting[:-1])
-    assert len(cone_clique(cx.graph, common, homology._cone(cx.graph, common))) == 3
-    groups = assert_induced_matches_oracle(cx, meeting)
+def test_induced_homology_inside_and_across_the_cone():
+    """On sd(RP^2), a clique complex: the full subcomplex on the stars of
+    its cone is contractible and keeps its trailing groups, and one half of
+    the vertex table or the other has a cone of its own."""
+    vm = SD_PLANE.vertex_mask
+    stars = functools.reduce(operator.or_, homology._cone(SD_PLANE.graph, vm))
+    halves = [(1 << 15) - 1, vm & ~((1 << 15) - 1)]
+    groups = assert_induced_matches_oracle(SD_PLANE, [vm, stars, *halves])
     assert [str(g) for g in groups[0]] == ["0", "Z/2", "0"]
     assert [str(g) for g in groups[1]] == ["0", "0", "0"]
-    halves = [vm, (1 << 15) - 1, vm & ~((1 << 15) - 1)]
-    assert functools.reduce(operator.and_, halves) == 0
-    groups = assert_induced_matches_oracle(cx, halves)
-    assert [str(g) for g in groups[0]] == ["0", "Z/2", "0"]

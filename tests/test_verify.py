@@ -471,16 +471,26 @@ def test_homology_row_fails_on_a_doctored_table(ws4, monkeypatch):
 
 
 def test_covering_checks_walk_the_faces_once(ws5, monkeypatch):
-    calls = []
-    real = Complex.face_levels
+    # each intersection is reduced relative to its own cone, so only the
+    # faces outside the cone are walked, and no complex, the parent ws(5)
+    # among them, is walked in full
+    full, relative = [], []
+    real_tree, real_levels = Complex.face_tree, Complex.face_levels
 
-    def counted(cx, avoid=()):
-        calls.append(cx)
-        return real(cx, avoid)
+    def counted_tree(cx):
+        full.append(cx)
+        return real_tree(cx)
 
-    monkeypatch.setattr(Complex, "face_levels", counted)
+    def counted_levels(cx, avoid=()):
+        (relative if avoid else full).append(cx.vertex_mask)
+        return real_levels(cx, avoid)
+
+    monkeypatch.setattr(Complex, "face_tree", counted_tree)
+    monkeypatch.setattr(Complex, "face_levels", counted_levels)
     assert all_pass(covering_checks(ws5))
-    assert calls == [ws5.complex]
+    assert full == []
+    assert set(relative) <= set(_deletion_masks(ws5).values())
+    assert max(Counter(relative).values()) == 1
 
 
 def test_central_pair_spans_the_central_star(ws4, ws5):
