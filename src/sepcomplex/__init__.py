@@ -13,7 +13,6 @@ from .complexes import (
 from .homology import (
     HomologyGroup,
     SparseIntMatrix,
-    betti_rational,
     boundary_matrices,
     reduced_homology,
     smith_normal_form,
@@ -30,7 +29,6 @@ from .subsets import (
     SeparationGraph,
     complement_mask,
     is_frozen,
-    is_frozen_enumerated,
     nonfrozen_subsets,
     precedes,
     reverse_mask,

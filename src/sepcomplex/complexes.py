@@ -113,7 +113,8 @@ class Complex:
     vertex mask: its facets are the maximal cliques of the graph on those
     vertices. `star_mask`, `link_mask`, `induced_mask`, `components` and
     `intersection` (of two complexes on the same graph) keep it, and
-    `face_tree`, `has_face_mask` and `induced_mask` rely on it."""
+    `face_tree`, `has_face_mask`, `induced_mask` and the cone-point rule
+    of `verify` rely on it."""
 
     __slots__ = ("labels", "facets", "graph", "vertex_mask")
 
@@ -152,9 +153,6 @@ class Complex:
     def is_pure(self) -> bool:
         sizes = {f.bit_count() for f in self.facets}
         return len(sizes) <= 1
-
-    def facet_tuples(self) -> list[tuple[int, ...]]:
-        return [_mask_to_tuple(f) for f in self.facets]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Complex)
@@ -296,9 +294,6 @@ class Complex:
         """Number of faces per dimension (the f-vector)."""
         return tuple(len(level) for level in self.face_levels())
 
-    def euler_characteristic(self) -> int:
-        return sum(c if d % 2 == 0 else -c for d, c in enumerate(self.face_counts()))
-
     # -- subcomplexes --------------------------------------------------------
 
     def _require_face(self, m: int, what: str) -> None:
@@ -339,15 +334,6 @@ class Complex:
         common = _maximal(f & g for f in self.facets for g in other.facets)
         graph = self.graph if self.graph is not None and self.graph is other.graph else None
         return Complex._trusted(self.labels, common, graph)
-
-    def cone_points(self) -> tuple[int, ...]:
-        """Vertices joinable to every face, i.e. those lying in every facet."""
-        if self.is_empty:
-            return ()
-        m = self.facets[0]
-        for f in self.facets[1:]:
-            m &= f
-        return _mask_to_tuple(m)
 
     def boundary(self) -> "Complex":
         """Subcomplex generated by codimension-1 faces lying in exactly one facet."""
@@ -566,19 +552,6 @@ class Covering:
     def __post_init__(self) -> None:
         if len(self.members) != len(self.labels):
             raise ValueError("one label per member required")
-
-    def members_are_subcomplexes(self) -> bool:
-        return all(
-            m.labels == self.parent.labels
-            and all(self.parent.has_face_mask(f) for f in m.facets)
-            for m in self.members
-        )
-
-    def covers_parent(self) -> bool:
-        return all(
-            any(m.has_face_mask(f) for m in self.members)
-            for f in self.parent.facets
-        )
 
 
 def nerve(covering: Covering) -> Complex:

@@ -61,7 +61,6 @@ import heapq
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .complexes import Complex, _mask_to_tuple
@@ -423,41 +422,6 @@ def _relative(ops: BoundaryOperators, cone: tuple[int, ...]) -> BoundaryOperator
     augmentation row unless the cone is empty. Its faces are walked on first
     use, and only those outside the masks are visited."""
     return BoundaryOperators(ops.complex, cone)
-
-
-def betti_rational(x: Complex) -> list[int]:
-    """Betti numbers via rank computations over the rationals only."""
-    ops = boundary_matrices(x)
-    ranks = [_rank_over_rationals(op) for op in ops] + [0]
-    return [len(faces) - ranks[d] - ranks[d + 1] for d, faces in enumerate(ops.faces)]
-
-
-def _rank_over_rationals(m: SparseIntMatrix) -> int:
-    """Fraction-based sparse Gaussian elimination; independent of the SNF path."""
-    grouped: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in m.entries.items():
-        grouped.setdefault(i, {})[j] = Fraction(v)
-    rows = [r for r in grouped.values() if r]
-    rank = 0
-    while rows:
-        rows.sort(key=len)
-        pivot_row = rows.pop(0)
-        pj = min(pivot_row)
-        pv = pivot_row[pj]
-        rank += 1
-        for r in rows:
-            w = r.get(pj)
-            if w is None:
-                continue
-            scale = w / pv
-            for j, x in pivot_row.items():
-                nv = r.get(j, Fraction(0)) - scale * x
-                if nv:
-                    r[j] = nv
-                else:
-                    r.pop(j, None)
-        rows = [r for r in rows if r]
-    return rank
 
 
 def homology_summary(groups: Iterable[HomologyGroup]) -> list[dict]:

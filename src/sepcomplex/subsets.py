@@ -139,23 +139,13 @@ def is_frozen(s: int, n: int) -> bool:
 
     These are exactly the initial segments {1..k} and final segments {k..n},
     the empty set and [n] included, and the characterization is the same for
-    both relations (is_frozen_enumerated provides the definition-level check).
+    both relations; the tests check it against every subset of [n].
     """
     check_mask(s, check_ground_size(n))
     if s & (s + 1) == 0:
         return True
     c = ground_mask(n) ^ s
     return c & (c + 1) == 0
-
-
-def is_frozen_enumerated(s: int, n: int, relation: str = "ws") -> bool:
-    """Definition-level frozen test: compare against all 2^n subsets."""
-    check_relation(relation)
-    check_mask(s, check_ground_size(n))
-    if n > 20:
-        raise ValueError("enumeration-based frozen test capped at n = 20")
-    pred = strongly_separated if relation == "ss" else weakly_separated
-    return all(pred(s, t) for t in range(1 << n))
 
 
 def nonfrozen_subsets(n: int) -> list[int]:

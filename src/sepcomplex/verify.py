@@ -391,11 +391,19 @@ def equivariance_checks(sc: SeparationComplex) -> list[CheckResult]:
 # the deletion covering
 # ---------------------------------------------------------------------------
 
+def _has_cone_point(graph: Sequence[int], m: int) -> bool:
+    """Whether the clique complex of `graph` on the vertex mask m has a cone
+    point: a vertex of m adjacent to all the others lies in every facet."""
+    return any(m & ~(graph[v] | 1 << v) == 0 for v in _mask_to_tuple(m))
+
+
 def contractibility_certificate(cx: Complex) -> str:
     """Strongest available certificate for a clique complex: "cone-point" if
     a vertex lies in every facet, else "collapsed-to-point" if the collapse
     by dominated vertices and edges reaches a vertex, else "none"."""
-    if cx.cone_points():
+    if cx.graph is None:
+        raise ValueError("contractibility certificates run on clique complexes only")
+    if _has_cone_point(cx.graph, cx.vertex_mask):
         return "cone-point"
     if cx.greedy_collapse().collapsed:
         return "collapsed-to-point"
@@ -493,8 +501,8 @@ def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
     cone point. A failure is named by its deletion indices sigma.
 
     Read off the closed neighbourhoods N[v]: in a flag complex the star of v
-    is induced on N[v], and an induced clique complex has a cone point iff a
-    vertex of it is adjacent to all the others."""
+    is induced on N[v], and each intersection is an induced clique complex,
+    so `_has_cone_point` decides it on the graph."""
     scope = f"ws({sc.n})"
     closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
     centre = _central_pair(sc)
@@ -508,7 +516,7 @@ def star_cover_checks(sc: SeparationComplex) -> list[CheckResult]:
         # every face of the intersection lies in f & kept for some facet f of sc
         covers = all(any(f & kept & ~star == 0 for star in stars) for f in sc.complex.facets)
         inters = [m for tmask, m in _intersection_masks(kept, stars).items() if tmask and m]
-        if covers and all(any(m & ~closed[v] == 0 for v in _mask_to_tuple(m)) for m in inters):
+        if covers and all(_has_cone_point(sc.complex.graph, m) for m in inters):
             clean += 1
         else:
             bad.append(f"{scope} sigma={{{','.join(map(str, _mask_to_tuple(smask)))}}}")

@@ -9,6 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from oracles import facet_tuples
 
 from sepcomplex import build
 from sepcomplex.cli import _load_complex, build_parser, main
@@ -87,7 +88,7 @@ def test_star_and_deletion_verbs(capsys):
                               "--face", "13")
     assert code == 0
     deleted = Complex.from_dict(json.loads(stdout))
-    assert "13" not in {deleted.labels[v] for f in deleted.facet_tuples() for v in f}
+    assert "13" not in {deleted.labels[v] for f in facet_tuples(deleted) for v in f}
 
 
 def test_boundary_verb_and_gate(capsys):

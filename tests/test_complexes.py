@@ -7,6 +7,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    betti_rational,
+    cone_points,
+    covers_parent,
+    euler_characteristic,
+    facet_tuples,
+    members_are_subcomplexes,
+)
 
 from sepcomplex import build, complexes
 from sepcomplex.complexes import (
@@ -21,7 +29,6 @@ from sepcomplex.complexes import (
     isomorphic,
     nerve,
 )
-from sepcomplex.homology import betti_rational
 from sepcomplex.subsets import separation_graph, subset_str
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -43,7 +50,7 @@ def complete_graph_complex(k):
 def face_set(cx):
     """Every nonempty face as a frozenset of vertex indices."""
     out = set()
-    for t in cx.facet_tuples():
+    for t in facet_tuples(cx):
         for k in range(1, len(t) + 1):
             out.update(frozenset(c) for c in combinations(t, k))
     return out
@@ -75,7 +82,7 @@ def test_clique_complex_four_cycle():
 
 def test_clique_complex_complete_graph():
     cx = complete_graph_complex(4)
-    assert cx.facet_tuples() == [(0, 1, 2, 3)]
+    assert facet_tuples(cx) == [(0, 1, 2, 3)]
 
 
 def test_clique_complex_of_separation_graph():
@@ -93,7 +100,7 @@ def test_clique_complex_validates_adjacency():
 
 def test_from_faces_keeps_maximal_only():
     cx = Complex(list("abc"), [(0, 1), (0,), (0, 1, 2)])
-    assert cx.facet_tuples() == [(0, 1, 2)]
+    assert facet_tuples(cx) == [(0, 1, 2)]
 
 
 def test_constructor_rejects_a_repeated_index():
@@ -142,7 +149,7 @@ def test_faces_lex_order(ss4):
 
 def test_downward_closure(ss4, ws4):
     for sc in (ss4, ws4):
-        for t in sc.complex.facet_tuples():
+        for t in facet_tuples(sc.complex):
             for k in range(1, len(t) + 1):
                 for sub in combinations(t, k):
                     assert sc.complex.has_face_mask(sum(1 << v for v in sub))
@@ -198,7 +205,7 @@ def test_star_vertices_are_cone_points(ss4):
     cx = ss4.complex
     v = ss4.vertex_index("13")
     st = cx.star_mask(1 << v)
-    assert v in st.cone_points()
+    assert v in cone_points(st)
 
 
 def test_induced(ss4):
@@ -235,8 +242,8 @@ def test_star_intersection_identity(ws4):
 # --- cone points -------------------------------------------------------------------
 
 def test_cone_points():
-    assert complete_graph_complex(4).cone_points() == (0, 1, 2, 3)
-    assert four_cycle_clique().cone_points() == ()
+    assert cone_points(complete_graph_complex(4)) == (0, 1, 2, 3)
+    assert cone_points(four_cycle_clique()) == ()
 
 
 # --- boundary ------------------------------------------------------------------------
@@ -274,7 +281,7 @@ def test_nerve_two_overlapping_members():
     cx = Complex(list("abc"), [(0, 1), (1, 2)])
     cov = Covering(cx, (cx.star_mask(1 << 0), cx.star_mask(1 << 2)), ("near-a", "near-c"))
     nv = nerve(cov)
-    assert nv.facet_tuples() == [(0, 1)]
+    assert facet_tuples(nv) == [(0, 1)]
 
 
 def test_nerve_of_trivial_covering_is_point(ws4):
@@ -295,8 +302,8 @@ def test_covering_validation(ws4):
     with pytest.raises(ValueError):
         Covering(cx, (cx,), ("a", "b"))
     cov = Covering(cx, (cx.deletion_mask(1 << 0),), ("dl",))
-    assert cov.members_are_subcomplexes()
-    assert not cov.covers_parent()
+    assert members_are_subcomplexes(cov)
+    assert not covers_parent(cov)
 
 
 # --- collapsing -----------------------------------------------------------------------
@@ -539,8 +546,8 @@ def test_isomorphic_identity(ss4):
     mapping = isomorphic(ss4.complex, ss4.complex)
     assert mapping is not None
     image = {tuple(sorted(mapping[v] for v in f))
-             for f in ss4.complex.facet_tuples()}
-    assert image == set(ss4.complex.facet_tuples())
+             for f in facet_tuples(ss4.complex)}
+    assert image == set(facet_tuples(ss4.complex))
 
 
 def test_isomorphic_square_vs_cross_polytope():
@@ -564,12 +571,12 @@ def test_isomorphic_mapping_preserves_facets():
     perm = [3, 0, 5, 1, 4, 2]
     relabeled = Complex(
         [octa.labels[perm.index(i)] for i in range(6)],
-        [tuple(perm[v] for v in f) for f in octa.facet_tuples()],
+        [tuple(perm[v] for v in f) for f in facet_tuples(octa)],
     )
     mapping = isomorphic(octa, relabeled)
     assert mapping is not None
-    image = {tuple(sorted(mapping[v] for v in f)) for f in octa.facet_tuples()}
-    assert image == set(relabeled.facet_tuples())
+    image = {tuple(sorted(mapping[v] for v in f)) for f in facet_tuples(octa)}
+    assert image == set(facet_tuples(relabeled))
 
 
 def brute_isomorphic(x, y):
@@ -577,8 +584,8 @@ def brute_isomorphic(x, y):
     vx, vy = x.vertices(), y.vertices()
     if len(vx) != len(vy):
         return False
-    want = {frozenset(f) for f in y.facet_tuples()}
-    return any({frozenset(image[vx.index(v)] for v in f) for f in x.facet_tuples()} == want
+    want = {frozenset(f) for f in facet_tuples(y)}
+    return any({frozenset(image[vx.index(v)] for v in f) for f in facet_tuples(x)} == want
                for image in permutations(vy))
 
 
@@ -591,7 +598,7 @@ def small_complexes():
 def test_isomorphic_matches_brute_force(x, data):
     if data.draw(st.booleans(), label="relabel x"):
         perm = data.draw(st.permutations(range(len(x.labels))), label="perm")
-        y = Complex(x.labels, [[perm[v] for v in f] for f in x.facet_tuples()])
+        y = Complex(x.labels, [[perm[v] for v in f] for f in facet_tuples(x)])
     else:
         y = data.draw(small_complexes(), label="y")
     mapping = isomorphic(x, y)
@@ -612,14 +619,14 @@ def test_f_vector_dimension_purity(ss4, ws4):
     assert ss4.complex.face_counts() == (8, 16, 8)
     assert ss4.complex.dimension() == 2
     assert ss4.complex.is_pure()
-    assert ss4.complex.euler_characteristic() == 0
+    assert euler_characteristic(ss4.complex) == 0
     assert ws4.complex.face_counts() == (8, 17, 10)
-    assert ws4.complex.euler_characteristic() == 1
+    assert euler_characteristic(ws4.complex) == 1
 
 
 def test_generic_and_clique_enumeration_agree(ss4):
     cx = ss4.complex
-    generic = Complex(cx.labels, cx.facet_tuples())
+    generic = Complex(cx.labels, facet_tuples(cx))
     assert generic.face_counts() == cx.face_counts()
     for d in range(cx.dimension() + 1):
         assert generic.faces_of_dim(d) == cx.faces_of_dim(d)
@@ -672,7 +679,7 @@ def test_components_are_the_connected_pieces_by_lowest_vertex(cx):
     masks = [p.vertex_mask for p in pieces]
     assert all(not a & b for a, b in combinations(masks, 2))
     for p in pieces:
-        edges = {e for t in p.facet_tuples() for e in combinations(t, 2)}
+        edges = {e for t in facet_tuples(p) for e in combinations(t, 2)}
         reached, todo = set(), [p.vertices()[0]]
         while todo:
             v = todo.pop()
@@ -680,6 +687,6 @@ def test_components_are_the_connected_pieces_by_lowest_vertex(cx):
                 reached.add(v)
                 todo.extend(w for e in edges if v in e for w in e)
         assert reached == set(p.vertices())
-    assert Complex(cx.labels, [t for p in pieces for t in p.facet_tuples()]) == cx
+    assert Complex(cx.labels, [t for p in pieces for t in facet_tuples(p)]) == cx
     lowest = [m & -m for m in masks]
     assert lowest == sorted(lowest)

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import facet_tuples
 from test_homology import multiply
 
 from sepcomplex.complexes import Complex, clique_complex
@@ -153,7 +154,7 @@ def test_boundary_matrices_match_tuple_slicing(name, ss4, ws5, ss6):
         "ws5": ws5.complex,
         "ss6": ss6.complex,
         "boundary ws5": ws5.complex.boundary(),
-        "facet-only ws5": Complex(ws5.complex.labels, ws5.complex.facet_tuples()),
+        "facet-only ws5": Complex(ws5.complex.labels, facet_tuples(ws5.complex)),
     }[name]
     levels = [cx.faces_of_dim(d) for d in range(cx.dimension() + 1)]
     for level in levels:

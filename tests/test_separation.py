@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import covers_parent, facet_tuples, members_are_subcomplexes
 
 from sepcomplex import verify
 from sepcomplex.cli import main
@@ -155,9 +156,9 @@ def test_antipodal_matches_induced_subcomplex(ss4, ss5, ss6):
         assert (sub.n, sub.relation) == (sc.n, "ss")
         induced = sc.complex.induced_mask(sum(1 << v for v in sc.antipodal_vertex_indices()))
         induced_labels = {
-            frozenset(sc.complex.labels[v] for v in f) for f in induced.facet_tuples()}
+            frozenset(sc.complex.labels[v] for v in f) for f in facet_tuples(induced)}
         sub_labels = {
-            frozenset(sub.complex.labels[v] for v in f) for f in sub.complex.facet_tuples()}
+            frozenset(sub.complex.labels[v] for v in f) for f in facet_tuples(sub.complex)}
         assert induced_labels == sub_labels
 
 
@@ -173,7 +174,7 @@ def test_antipodal_is_cross_polytope_boundary():
 def test_generators_preserve_the_antipodal_facets():
     for n in range(4, 9):
         sub = antipodal_subcomplex(n)
-        facets = set(sub.complex.facet_tuples())
+        facets = set(facet_tuples(sub.complex))
         assert len(facets) == 1 << (n - 2)
         for g in GENERATORS:
             perm = sub.vertex_permutation(g)
@@ -273,8 +274,8 @@ def test_covering_structure(ws5):
     cov = deletion_covering(ws5)
     assert len(cov.members) == 6
     assert cov.labels == ("dl(2)", "dl(1345)", "dl(3)", "dl(1245)", "dl(4)", "dl(1235)")
-    assert cov.members_are_subcomplexes()
-    assert cov.covers_parent()
+    assert members_are_subcomplexes(cov)
+    assert covers_parent(cov)
 
 
 def test_covering_index_action(ws5):

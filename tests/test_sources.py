@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,6 +65,16 @@ def test_modules_import_only_the_standard_library(path):
     # pyproject.toml declares no dependency, so a clean install has nothing
     # else, whatever the environment running the tests may hold
     assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_cli_loads_no_rational_arithmetic():
+    # fractions, and decimal, which it imports, serve only the tests' rational
+    # oracle, so they stay out of every run's start-up
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import sepcomplex.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_the_dependency_scan_sees_a_foreign_import():
@@ -143,17 +154,9 @@ def test_every_definition_is_referenced():
     assert unreferenced_definitions(trees, package) == []
 
 
-# Defined in the package, referenced only from the tests or the benchmark
+# Defined in the package, referenced only from the tests and perfbench's
+# tracer, which patches or calls them; they move with ROADMAP item 3
 TEST_ONLY = {
-    # test conveniences
-    "complexes.py:Complex.facet_tuples",
-    "complexes.py:Complex.euler_characteristic",
-    # oracles the tests compare the package's fast paths against
-    "complexes.py:Covering.members_are_subcomplexes",
-    "complexes.py:Covering.covers_parent",
-    "homology.py:betti_rational",
-    "subsets.py:is_frozen_enumerated",
-    # oracles that perfbench's tracer also patches or calls
     "complexes.py:nerve",
     "homology.py:smith_normal_form",
     "separation.py:deletion_covering",
@@ -168,6 +171,27 @@ def test_the_package_alone_leaves_only_the_test_only_names_unreferenced():
     prefix = "src/sepcomplex/"
     assert {name.removeprefix(prefix) for name in unreferenced_definitions(trees, list(trees))
             } == TEST_ONLY
+
+
+def tracer_pinned_names(tree):
+    """The attribute strings of the tuples `_targets()` returns, and the names
+    `snf_probe` imports, in a tree of perfbench/tracing.py."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = {node.elts[1].value for node in ast.walk(functions["_targets"])
+             if isinstance(node, ast.Tuple) and len(node.elts) > 1
+             and isinstance(node.elts[1], ast.Constant) and isinstance(node.elts[1].value, str)}
+    names.update(alias.name for node in ast.walk(functions["snf_probe"])
+                 if isinstance(node, ast.ImportFrom) for alias in node.names)
+    return names
+
+
+def test_every_test_only_name_is_pinned_by_the_tracer():
+    # the set may only shrink: a test-only helper belongs in the tests
+    pinned = tracer_pinned_names(
+        ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")))
+    assert {"has_face_mask", "greedy_collapse", "smith_normal_form"} <= pinned
+    assert [name for name in sorted(TEST_ONLY)
+            if name.partition(":")[2].rpartition(".")[2] not in pinned] == []
 
 
 def test_the_definition_scan_sees_an_unreferenced_name():

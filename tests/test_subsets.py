@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from oracles import is_frozen_enumerated
 
 from sepcomplex.subsets import (
     GENERATORS,
@@ -10,7 +11,6 @@ from sepcomplex.subsets import (
     elements_of,
     ground_mask,
     is_frozen,
-    is_frozen_enumerated,
     mask_from_elements,
     nonfrozen_subsets,
     parse_subset,

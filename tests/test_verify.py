@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cone_points, covers_parent, members_are_subcomplexes
 from test_cli import REPORT_N5_STAGES
 from test_complexes import four_cycle_clique, random_clique_complexes
 
@@ -22,6 +23,7 @@ from sepcomplex.verify import (
     CheckResult,
     _central_pair,
     _deletion_masks,
+    _has_cone_point,
     _intersection_masks,
     _member_rows,
     antipodal_checks,
@@ -436,8 +438,8 @@ def test_deletion_masks_are_the_covering_table(n):
     assert list(_deletion_masks(sc).items()) == list(reference.items())
     # the member and union rows, read off the table, agree with the facets
     subcomplexes, unions = _member_rows(sc, _deletion_masks(sc))
-    assert subcomplexes.computed == str(covering.members_are_subcomplexes()) == "True"
-    assert unions.computed == str(covering.covers_parent()) == "True"
+    assert subcomplexes.computed == str(members_are_subcomplexes(covering)) == "True"
+    assert unions.computed == str(covers_parent(covering)) == "True"
 
 
 def test_member_rows_fail_on_a_doctored_table(ws4, monkeypatch):
@@ -501,7 +503,7 @@ def test_central_pair_spans_the_central_star(ws4, ws5):
         closed = [a | 1 << v for v, a in enumerate(sc.complex.graph)]
         assert star.has_face_mask(1 << i | 1 << j)
         assert closed[i] & closed[j] == star.vertex_mask
-        assert {i, j} <= set(star.cone_points())
+        assert {i, j} <= set(cone_points(star))
 
 
 def test_central_star_row_counts_the_intersections_holding_the_star(ws4, monkeypatch):
@@ -579,7 +581,7 @@ def test_intersection_table_on_the_paper_coverings(ws4, ws5):
             star_covering = Covering(cx, tuple(stars), tuple(f"s{i}" for i in range(len(stars))))
             inters = [fold for tmask, fold in assert_table_matches_the_fold(star_covering).items()
                       if tmask and not fold.is_empty]
-            clean += star_covering.covers_parent() and all(fold.cone_points() for fold in inters)
+            clean += covers_parent(star_covering) and all(cone_points(fold) for fold in inters)
         row, = star_cover_checks(sc)
         assert clean == len(no_free_pair)
         assert (row.status, row.computed, row.witness) == (
@@ -589,23 +591,24 @@ def test_intersection_table_on_the_paper_coverings(ws4, ws5):
 @settings(max_examples=200, deadline=None)
 @given(random_clique_complexes(), st.data())
 def test_closed_neighbourhoods_give_stars_and_cone_points(cx, data):
-    """On the complex induced on M: it has a cone point iff a vertex of M is
-    adjacent to every other, and the star of v in M has vertices N[v] & M."""
+    """On the complex induced on M: it has a cone point, a vertex in every
+    facet, iff a vertex of M is adjacent to every other (`_has_cone_point`),
+    also on the empty M, and the star of v in M has vertices N[v] & M."""
     m = data.draw(st.integers(0, (1 << len(cx.labels)) - 1), label="vertex set")
     induced = cx.induced_mask(m)
     closed = [a | 1 << v for v, a in enumerate(cx.graph)]
     vertices = _mask_to_tuple(m)
-    assert any(m & ~closed[v] == 0 for v in vertices) == bool(induced.cone_points())
+    for x in (induced, cx.induced_mask(0)):
+        assert _has_cone_point(cx.graph, x.vertex_mask) == bool(cone_points(x))
     for v in vertices:
         assert closed[v] & m == induced.star_mask(1 << v).vertex_mask
 
 
 def test_star_cover_reads_only_the_graph(ws5, monkeypatch):
     def refuse(*args):
-        raise AssertionError("star_cover_checks built a star or asked for cone points")
+        raise AssertionError("star_cover_checks built a star")
 
     monkeypatch.setattr(Complex, "star_mask", refuse)
-    monkeypatch.setattr(Complex, "cone_points", refuse)
     row, = star_cover_checks(ws5)
     assert (row.status, row.computed) == ("PASS", "27 intersections clean")
 
@@ -634,6 +637,11 @@ def test_contractibility_certificate(ws4):
         "cone-point", "collapsed-to-point")
     square = four_cycle_clique()
     assert contractibility_certificate(square) == "none"
+    # the cone-point rule reads the graph, so a facet-only complex is refused
+    fan = Complex(["a", "b", "c"], [[0, 1], [0, 2]])
+    assert cone_points(fan) == (0,)
+    with pytest.raises(ValueError, match="clique complexes"):
+        contractibility_certificate(fan)
 
 
 def test_run_named_check_dispatch():
